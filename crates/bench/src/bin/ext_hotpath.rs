@@ -10,10 +10,11 @@
 //! config knobs with the old shape as the `1` setting — so this benchmark
 //! can run the *same binary* in both shapes and hold them to each other.
 //!
-//! The grid: both front doors × {baseline: 1 dispatch worker, 1 registry
+//! The grid, on 4 epoll shards: {baseline: 1 dispatch worker, 1 registry
 //! stripe, 1 executor shard} vs {sharded: 4 workers, 64 stripes, 16
 //! shards}. Each cell drives a 10⁶-request closed-loop trace (8
 //! connections, window 128) from a re-exec'd storm-client child process
+//! ([`arlo_bench::storm`])
 //! and asserts **exact conservation** on both sides of the wire:
 //! `ok + shed + unserviceable + draining == submitted`, nothing lost,
 //! nothing refused, drain leaves zero outstanding. Per-structure
@@ -34,20 +35,17 @@
 //!
 //! Writes `results/BENCH_hotpath.json`.
 
+use arlo_bench::storm::{run_storm_child, storm_child_role, StormCounts};
 use arlo_bench::{json_f64, print_table, write_json};
 use arlo_core::engine::{ArloEngine, EngineConfig};
 use arlo_runtime::batching::{BatchPolicy, BatchSpec};
 use arlo_runtime::models::ModelSpec;
 use arlo_runtime::profile::{profile_runtimes, RuntimeProfile};
 use arlo_runtime::runtime_set::RuntimeSet;
-use arlo_serve::loadgen::{connection_storm, StormConfig};
-use arlo_serve::server::{FrontDoor, HotpathStats, ServeConfig, Server};
+use arlo_serve::loadgen::StormConfig;
+use arlo_serve::server::{HotpathStats, ServeConfig, Server};
 use arlo_trace::NANOS_PER_SEC;
-use std::collections::HashMap;
-use std::io::Read;
-use std::net::SocketAddr;
-use std::process::{Command, Stdio};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 const SLO_MS: f64 = 150.0;
 const GPUS: u32 = 8;
@@ -55,6 +53,8 @@ const GPUS: u32 = 8;
 /// a 1000× speed-up without the clock math or the locks falling over.
 const SCALE: u32 = 1_000;
 const CONNS: usize = 8;
+/// Epoll event loops serving the connections.
+const SHARDS: usize = 4;
 const WINDOW: u32 = 128;
 /// 10⁶ requests split over [`CONNS`] connections.
 const FULL_TOTAL: u64 = 1_000_000;
@@ -108,7 +108,7 @@ const SHARDED: Shape = Shape {
     executor_shards: 16,
 };
 
-fn serve_config(shape: Shape, front_door: FrontDoor) -> ServeConfig {
+fn serve_config(shape: Shape) -> ServeConfig {
     let mut cfg = ServeConfig {
         time_scale: SCALE,
         // Far above the closed-loop in-flight ceiling (CONNS × WINDOW =
@@ -118,9 +118,9 @@ fn serve_config(shape: Shape, front_door: FrontDoor) -> ServeConfig {
         tick_interval: NANOS_PER_SEC,
         drain_timeout: Duration::from_secs(120),
         batch: BatchPolicy::greedy(BatchSpec::SINGLE),
+        shards: SHARDS,
         ..ServeConfig::new(GPUS)
     };
-    cfg.front_door = front_door;
     cfg.max_conns = CONNS + 64;
     cfg.idle_timeout = Duration::from_secs(600);
     cfg.with_dispatch_workers(shape.dispatch_workers)
@@ -128,52 +128,9 @@ fn serve_config(shape: Shape, front_door: FrontDoor) -> ServeConfig {
         .with_executor_shards(shape.executor_shards)
 }
 
-/// Re-exec'd storm-client role (`ARLO_HOTPATH_ADDR` set): run the
-/// closed-loop storm and print one machine-readable line. A second
-/// process keeps client fds and client CPU accounting out of the server
-/// process, same as `ext_serve`'s connection cells.
-fn storm_child() {
-    let addr: SocketAddr = std::env::var("ARLO_HOTPATH_ADDR")
-        .expect("ARLO_HOTPATH_ADDR")
-        .parse()
-        .expect("hotpath addr");
-    let env_u64 = |key: &str, default: u64| {
-        std::env::var(key)
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
-    };
-    let mut cfg = StormConfig::new(env_u64("ARLO_HOTPATH_CONNS", CONNS as u64) as usize)
-        .with_window(env_u64("ARLO_HOTPATH_WINDOW", u64::from(WINDOW)) as u32);
-    cfg.threads = 2;
-    cfg.submits_per_conn = env_u64("ARLO_HOTPATH_SUBMITS", 1) as u32;
-    cfg.hold = Duration::from_millis(50);
-    cfg.connect_timeout = Duration::from_secs(20);
-    cfg.deadline = Duration::from_secs(env_u64("ARLO_HOTPATH_DEADLINE_S", 600));
-    let started = Instant::now();
-    let report = connection_storm(addr, &cfg).expect("connection storm");
-    println!(
-        "HOTPATH_RESULT connected={} refused={} connect_errors={} submitted={} ok={} \
-         shed={} unserviceable={} draining={} failed={} lost={} conserved={} wall_ms={}",
-        report.connected,
-        report.refused,
-        report.connect_errors,
-        report.submitted,
-        report.ok,
-        report.shed,
-        report.unserviceable,
-        report.draining,
-        report.failed,
-        report.lost,
-        u64::from(report.conserved()),
-        started.elapsed().as_millis(),
-    );
-}
-
 struct Cell {
-    front_door: FrontDoor,
     shape: Shape,
-    counts: HashMap<String, u64>,
+    counts: StormCounts,
     stats: HotpathStats,
     /// Wall seconds of the child's submit/answer phase.
     wall_s: f64,
@@ -181,61 +138,40 @@ struct Cell {
     throughput: f64,
 }
 
-fn run_cell(front_door: FrontDoor, shape: Shape, total: u64) -> Cell {
+/// One cell: the closed-loop storm from a child process (keeping client
+/// fds and client CPU out of the server process) against one shape.
+fn run_cell(shape: Shape, total: u64) -> Cell {
     let submits_per_conn = total / CONNS as u64;
-    let server = Server::spawn(engine(), "127.0.0.1:0", serve_config(shape, front_door))
-        .expect("bind loopback");
-    let addr = server.local_addr();
+    let server =
+        Server::spawn(engine(), "127.0.0.1:0", serve_config(shape)).expect("bind loopback");
 
-    let mut child = Command::new(std::env::current_exe().expect("current_exe"))
-        .env("ARLO_HOTPATH_ADDR", addr.to_string())
-        .env("ARLO_HOTPATH_CONNS", CONNS.to_string())
-        .env("ARLO_HOTPATH_SUBMITS", submits_per_conn.to_string())
-        .env("ARLO_HOTPATH_WINDOW", WINDOW.to_string())
-        .stdout(Stdio::piped())
-        .spawn()
-        .expect("spawn storm child");
-    let status = child.wait().expect("wait storm child");
-    assert!(status.success(), "storm child failed: {status}");
-    let mut out = String::new();
-    child
-        .stdout
-        .take()
-        .expect("child stdout")
-        .read_to_string(&mut out)
-        .expect("read child stdout");
-    let line = out
-        .lines()
-        .find(|l| l.starts_with("HOTPATH_RESULT"))
-        .unwrap_or_else(|| panic!("no HOTPATH_RESULT in child output:\n{out}"));
-    let counts: HashMap<String, u64> = line
-        .split_whitespace()
-        .skip(1)
-        .map(|kv| {
-            let (k, v) = kv.split_once('=').expect("k=v pair");
-            (k.to_string(), v.parse().expect("numeric count"))
-        })
-        .collect();
+    let mut storm = StormConfig::new(CONNS).with_window(WINDOW);
+    storm.threads = 2;
+    storm.submits_per_conn = submits_per_conn as u32;
+    storm.hold = Duration::from_millis(50);
+    storm.connect_timeout = Duration::from_secs(20);
+    storm.deadline = Duration::from_secs(600);
+    let counts = run_storm_child(server.local_addr(), &storm, || {});
     let g = |k: &str| counts[k];
-    let tag = format!("{}/{}", front_door.name(), shape.name);
+    let tag = shape.name;
 
     // Exact conservation, client side: every submit written terminates in
     // exactly one accounted outcome, nothing lost, nothing refused.
-    assert_eq!(g("connect_errors"), 0, "{tag}: {line}");
-    assert_eq!(g("connected"), CONNS as u64, "{tag}: {line}");
-    assert_eq!(g("refused"), 0, "{tag}: {line}");
-    assert_eq!(g("failed"), 0, "{tag}: {line}");
-    assert_eq!(g("lost"), 0, "{tag}: {line}");
-    assert_eq!(g("conserved"), 1, "{tag}: {line}");
+    assert_eq!(g("connect_errors"), 0, "{tag}: {counts:?}");
+    assert_eq!(g("connected"), CONNS as u64, "{tag}: {counts:?}");
+    assert_eq!(g("refused"), 0, "{tag}: {counts:?}");
+    assert_eq!(g("failed"), 0, "{tag}: {counts:?}");
+    assert_eq!(g("lost"), 0, "{tag}: {counts:?}");
+    assert_eq!(g("conserved"), 1, "{tag}: {counts:?}");
     assert_eq!(
         g("submitted"),
         submits_per_conn * CONNS as u64,
-        "{tag}: {line}"
+        "{tag}: {counts:?}"
     );
     assert_eq!(
         g("ok") + g("shed") + g("unserviceable") + g("draining"),
         g("submitted"),
-        "{tag}: {line}"
+        "{tag}: {counts:?}"
     );
 
     let stats = server.hotpath_stats();
@@ -266,7 +202,6 @@ fn run_cell(front_door: FrontDoor, shape: Shape, total: u64) -> Cell {
 
     let wall_s = g("wall_ms") as f64 / 1e3;
     Cell {
-        front_door,
         shape,
         throughput: g("ok") as f64 / wall_s,
         counts,
@@ -276,8 +211,7 @@ fn run_cell(front_door: FrontDoor, shape: Shape, total: u64) -> Cell {
 }
 
 fn main() {
-    if std::env::var_os("ARLO_HOTPATH_ADDR").is_some() {
-        storm_child();
+    if storm_child_role() {
         return;
     }
     let total = if smoke() { SMOKE_TOTAL } else { FULL_TOTAL };
@@ -288,18 +222,12 @@ fn main() {
         if smoke() { " [smoke]" } else { "" }
     );
 
-    let mut cells = Vec::new();
-    for front_door in [FrontDoor::Threaded, FrontDoor::Epoll { shards: 4 }] {
-        for shape in [BASELINE, SHARDED] {
-            cells.push(run_cell(front_door, shape, total));
-        }
-    }
+    let cells = [run_cell(BASELINE, total), run_cell(SHARDED, total)];
 
     let rows: Vec<Vec<String>> = cells
         .iter()
         .map(|c| {
             vec![
-                c.front_door.name().to_string(),
                 c.shape.name.to_string(),
                 format!("{}", c.counts["ok"]),
                 format!("{:.1}", c.wall_s),
@@ -317,7 +245,6 @@ fn main() {
     print_table(
         "hot path: baseline vs sharded",
         &[
-            "front door",
             "shape",
             "ok",
             "wall s",
@@ -330,39 +257,27 @@ fn main() {
         &rows,
     );
 
-    // The throughput gates, per front door.
-    let mut ratios = Vec::new();
-    for door in ["threaded", "epoll"] {
-        let find = |shape: &str| {
-            cells
-                .iter()
-                .find(|c| c.front_door.name() == door && c.shape.name == shape)
-                .expect("cell present")
-        };
-        let base = find("baseline");
-        let shard = find("sharded");
-        let ratio = shard.throughput / base.throughput;
-        println!(
-            "{door}: sharded/baseline throughput ratio {ratio:.3} \
-             ({:.0} vs {:.0} req/s)",
-            shard.throughput, base.throughput
-        );
-        // Hard floor: sharding must not regress the retained baseline
-        // (0.95 absorbs loopback scheduling noise at this request count).
+    // The throughput gates.
+    let [base, shard] = &cells;
+    let ratio = shard.throughput / base.throughput;
+    println!(
+        "sharded/baseline throughput ratio {ratio:.3} ({:.0} vs {:.0} req/s)",
+        shard.throughput, base.throughput
+    );
+    // Hard floor: sharding must not regress the retained baseline (0.95
+    // absorbs loopback scheduling noise at this request count).
+    assert!(
+        ratio >= 0.95,
+        "sharded hot path regressed the baseline: ratio {ratio:.3}"
+    );
+    // The 1.5× gate needs hardware parallelism to exist: with ≥ 4 CPUs the
+    // dispatch workers and shard threads actually overlap. On smaller
+    // hosts the ratio is recorded, not asserted.
+    if cpus >= 4 && !smoke() {
         assert!(
-            ratio >= 0.95,
-            "{door}: sharded hot path regressed the baseline: ratio {ratio:.3}"
+            ratio >= 1.5,
+            "expected ≥ 1.5× on a {cpus}-cpu host, measured {ratio:.3}"
         );
-        // The 1.5× gate needs hardware parallelism to exist: with ≥ 4 CPUs
-        // the dispatch workers and shard threads actually overlap. On
-        // smaller hosts the ratio is recorded, not asserted.
-        if cpus >= 4 && !smoke() {
-            assert!(
-                ratio >= 1.5,
-                "{door}: expected ≥ 1.5× on a {cpus}-cpu host, measured {ratio:.3}"
-            );
-        }
-        ratios.push((door, ratio));
     }
 
     let json = serde_json::json!({
@@ -371,12 +286,12 @@ fn main() {
             "time_scale": SCALE,
             "conns": CONNS,
             "window": WINDOW,
+            "shards": SHARDS,
             "cpus": cpus,
             "smoke": smoke(),
             "speedup_gate_active": cpus >= 4 && !smoke(),
         },
         "cells": cells.iter().map(|c| serde_json::json!({
-            "front_door": c.front_door.name(),
             "shape": c.shape.name,
             "dispatch_workers": c.shape.dispatch_workers,
             "conn_stripes": c.stats.conn_stripes,
@@ -399,12 +314,7 @@ fn main() {
             ),
             "executor_lock_ops": c.stats.executor_lock_ops,
         })).collect::<Vec<_>>(),
-        "speedup": serde_json::Value::Object(
-            ratios
-                .iter()
-                .map(|(door, r)| (door.to_string(), json_f64(*r)))
-                .collect(),
-        ),
+        "speedup": json_f64(ratio),
     });
     write_json("BENCH_hotpath", &json);
 }

@@ -1,12 +1,12 @@
 //! **Extension** — supervision-tree resilience benchmark: seeded component
 //! chaos against every supervised server thread, under closed-loop v2
-//! storm load, on both front doors.
+//! storm load.
 //!
 //! The grid crosses the supervised component classes with the two fault
-//! kinds and the two connection planes:
+//! kinds:
 //!
 //! - **Restartable components** (`dispatch`, `flusher`, `timer`,
-//!   `coordinator`) × {panic, stall} × {threaded, epoll}. Panic cells
+//!   `coordinator`) × {panic, stall}. Panic cells
 //!   assert the component died at least once, was restarted within its
 //!   budget, recovery was bounded (every `Panicked` is followed by a
 //!   `Restarted` within [`RECOVERY_BOUND_MS`]), and **exact zero-loss
@@ -16,21 +16,23 @@
 //!   heartbeat was detected (≥ 1 `Stalled` event) with no restart and the
 //!   same conservation.
 //! - **Escalation cells**: a dispatch pool whose every beat panics under a
-//!   2-restart budget (both doors) — the supervisor must give up cleanly,
-//!   run the fail-fast drain hook, and the final drain must conserve
-//!   instead of wedging; and an acceptor first-beat panic (both doors,
-//!   no load) — `Escalate` policy straight to a clean drain.
+//!   2-restart budget — the supervisor must give up cleanly, run the
+//!   fail-fast drain hook, and the final drain must conserve instead of
+//!   wedging; and an acceptor first-beat panic (no load) — `Escalate`
+//!   policy straight to a clean drain.
 //!
 //! Load is the closed-loop **v2 window storm** ([`StormConfig::wire`] =
 //! V2): refills leave as checksummed `BatchedSubmit` frames, so the
 //! resilience sweep doubles as an integration test of the batched v2
-//! replay path. The storm runs in a re-exec'd child process, same as
-//! `ext_hotpath`, keeping client fds and CPU out of the server process.
+//! replay path. The storm runs in a re-exec'd child process
+//! ([`arlo_bench::storm`]), keeping client fds and CPU out of the server
+//! process.
 //!
 //! `EXT_RESILIENCE_SMOKE=1` shrinks the per-cell request count for CI.
 //!
 //! Writes `results/BENCH_resilience.json`.
 
+use arlo_bench::storm::{run_storm_child, storm_child_role, StormCounts};
 use arlo_bench::{json_f64, print_table, write_json};
 use arlo_core::engine::{ArloEngine, EngineConfig};
 use arlo_runtime::batching::{BatchPolicy, BatchSpec};
@@ -38,15 +40,13 @@ use arlo_runtime::models::ModelSpec;
 use arlo_runtime::profile::{profile_runtimes, RuntimeProfile};
 use arlo_runtime::runtime_set::RuntimeSet;
 use arlo_serve::chaos::ComponentChaos;
-use arlo_serve::loadgen::{connection_storm, StormConfig};
+use arlo_serve::loadgen::StormConfig;
 use arlo_serve::protocol::WireVersion;
-use arlo_serve::server::{FrontDoor, ServeConfig, Server};
+use arlo_serve::server::{ServeConfig, Server};
 use arlo_serve::supervisor::{SupervisorEvent, SupervisorEventKind};
 use arlo_trace::NANOS_PER_SEC;
 use std::collections::HashMap;
-use std::io::Read;
 use std::net::SocketAddr;
-use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
 
 const SLO_MS: f64 = 150.0;
@@ -133,7 +133,7 @@ const TARGETS: [Target; 4] = [
     },
 ];
 
-fn serve_config(target: Target, front_door: FrontDoor, chaos: ComponentChaos) -> ServeConfig {
+fn serve_config(target: Target, chaos: ComponentChaos) -> ServeConfig {
     let batch = if target.batch_window {
         BatchPolicy {
             spec: BatchSpec {
@@ -152,7 +152,6 @@ fn serve_config(target: Target, front_door: FrontDoor, chaos: ComponentChaos) ->
         tick_interval: NANOS_PER_SEC / 5,
         drain_timeout: Duration::from_secs(60),
         batch,
-        front_door,
         ..ServeConfig::new(GPUS)
     }
     .with_component_chaos(chaos)
@@ -177,77 +176,18 @@ fn chaos_for(target: &Target, fault: Fault, seed: u64) -> ComponentChaos {
     }
 }
 
-/// Re-exec'd storm-client role (`ARLO_RESIL_ADDR` set): run the v2
-/// closed-loop window storm and print one machine-readable line.
-fn storm_child() {
-    let addr: SocketAddr = std::env::var("ARLO_RESIL_ADDR")
-        .expect("ARLO_RESIL_ADDR")
-        .parse()
-        .expect("resilience addr");
-    let env_u64 = |key: &str, default: u64| {
-        std::env::var(key)
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
-    };
-    let mut cfg = StormConfig::new(env_u64("ARLO_RESIL_CONNS", CONNS as u64) as usize)
-        .with_window(env_u64("ARLO_RESIL_WINDOW", u64::from(WINDOW)) as u32)
+/// Drive the closed-loop v2 window storm against `addr` from a child
+/// process and return its counts.
+fn run_storm(addr: SocketAddr, submits_per_conn: u64) -> StormCounts {
+    let mut storm = StormConfig::new(CONNS)
+        .with_window(WINDOW)
         .with_wire(WireVersion::V2);
-    cfg.threads = 2;
-    cfg.submits_per_conn = env_u64("ARLO_RESIL_SUBMITS", 1) as u32;
-    cfg.hold = Duration::from_millis(20);
-    cfg.connect_timeout = Duration::from_secs(20);
-    cfg.deadline = Duration::from_secs(env_u64("ARLO_RESIL_DEADLINE_S", 300));
-    let started = Instant::now();
-    let report = connection_storm(addr, &cfg).expect("connection storm");
-    println!(
-        "RESIL_RESULT connected={} refused={} connect_errors={} submitted={} ok={} \
-         shed={} unserviceable={} draining={} failed={} lost={} conserved={} wall_ms={}",
-        report.connected,
-        report.refused,
-        report.connect_errors,
-        report.submitted,
-        report.ok,
-        report.shed,
-        report.unserviceable,
-        report.draining,
-        report.failed,
-        report.lost,
-        u64::from(report.conserved()),
-        started.elapsed().as_millis(),
-    );
-}
-
-/// Drive one storm child against `addr` and parse its result line.
-fn run_storm(addr: SocketAddr, submits_per_conn: u64) -> HashMap<String, u64> {
-    let mut child = Command::new(std::env::current_exe().expect("current_exe"))
-        .env("ARLO_RESIL_ADDR", addr.to_string())
-        .env("ARLO_RESIL_CONNS", CONNS.to_string())
-        .env("ARLO_RESIL_SUBMITS", submits_per_conn.to_string())
-        .env("ARLO_RESIL_WINDOW", WINDOW.to_string())
-        .stdout(Stdio::piped())
-        .spawn()
-        .expect("spawn storm child");
-    let status = child.wait().expect("wait storm child");
-    assert!(status.success(), "storm child failed: {status}");
-    let mut out = String::new();
-    child
-        .stdout
-        .take()
-        .expect("child stdout")
-        .read_to_string(&mut out)
-        .expect("read child stdout");
-    let line = out
-        .lines()
-        .find(|l| l.starts_with("RESIL_RESULT"))
-        .unwrap_or_else(|| panic!("no RESIL_RESULT in child output:\n{out}"));
-    line.split_whitespace()
-        .skip(1)
-        .map(|kv| {
-            let (k, v) = kv.split_once('=').expect("k=v pair");
-            (k.to_string(), v.parse().expect("numeric count"))
-        })
-        .collect()
+    storm.threads = 2;
+    storm.submits_per_conn = submits_per_conn as u32;
+    storm.hold = Duration::from_millis(20);
+    storm.connect_timeout = Duration::from_secs(20);
+    storm.deadline = Duration::from_secs(300);
+    run_storm_child(addr, &storm, || {})
 }
 
 /// Longest Panicked→Restarted gap (ms) over the answered pairs in the
@@ -274,10 +214,9 @@ fn worst_recovery_ms(events: &[SupervisorEvent]) -> u64 {
 }
 
 struct Cell {
-    front_door: &'static str,
     component: &'static str,
     fault: &'static str,
-    counts: HashMap<String, u64>,
+    counts: StormCounts,
     restarts: u64,
     stalls: u64,
     escalations: u64,
@@ -288,10 +227,10 @@ struct Cell {
 
 /// One recovery cell: chaos against `target`, closed-loop v2 storm load,
 /// conservation and recovery asserted.
-fn run_recovery_cell(target: Target, fault: Fault, front_door: FrontDoor, total: u64) -> Cell {
-    let tag = format!("{}/{}/{}", front_door.name(), target.prefix, fault.name());
+fn run_recovery_cell(target: Target, fault: Fault, total: u64) -> Cell {
+    let tag = format!("{}/{}", target.prefix, fault.name());
     let seed = 0xA510 ^ arlo_seed(&tag);
-    let cfg = serve_config(target, front_door, chaos_for(&target, fault, seed));
+    let cfg = serve_config(target, chaos_for(&target, fault, seed));
     let server = if target.coordinator {
         Server::spawn_multi(
             vec![(
@@ -382,7 +321,6 @@ fn run_recovery_cell(target: Target, fault: Fault, front_door: FrontDoor, total:
     assert_eq!(drain.submits, g("submitted"), "{tag}: wire vs drain");
 
     Cell {
-        front_door: front_door.name(),
         component: target.prefix,
         fault: fault.name(),
         counts,
@@ -397,8 +335,8 @@ fn run_recovery_cell(target: Target, fault: Fault, front_door: FrontDoor, total:
 
 /// One escalation cell: a fault the supervisor must *not* absorb — give
 /// up, run the fail-fast drain, conserve, never wedge.
-fn run_escalation_cell(kind: &'static str, front_door: FrontDoor, total: u64) -> Cell {
-    let tag = format!("{}/{kind}/escalate", front_door.name());
+fn run_escalation_cell(kind: &'static str, total: u64) -> Cell {
+    let tag = format!("{kind}/escalate");
     let seed = 0xE5CA ^ arlo_seed(&tag);
     let target = TARGETS[0]; // plain single-tenant config
     let (chaos, budget, with_load) = match kind {
@@ -409,8 +347,7 @@ fn run_escalation_cell(kind: &'static str, front_door: FrontDoor, total: u64) ->
         "accept" => (ComponentChaos::panics("accept", 1, seed), 2, false),
         _ => unreachable!("unknown escalation kind"),
     };
-    let cfg = serve_config(target, front_door, chaos)
-        .with_restart_policy(Duration::from_millis(1), budget);
+    let cfg = serve_config(target, chaos).with_restart_policy(Duration::from_millis(1), budget);
     let server = Server::spawn(engine(), "127.0.0.1:0", cfg).expect("bind loopback");
     let started = Instant::now();
     let counts = if with_load {
@@ -463,7 +400,6 @@ fn run_escalation_cell(kind: &'static str, front_door: FrontDoor, total: u64) ->
     assert!(drain.escalations >= 1, "{tag}: {drain:?}");
 
     Cell {
-        front_door: front_door.name(),
         component: kind,
         fault: "escalate",
         counts,
@@ -488,8 +424,7 @@ fn arlo_seed(tag: &str) -> u64 {
 }
 
 fn main() {
-    if std::env::var_os("ARLO_RESIL_ADDR").is_some() {
-        storm_child();
+    if storm_child_role() {
         return;
     }
     let total = if smoke() { SMOKE_TOTAL } else { FULL_TOTAL };
@@ -498,23 +433,19 @@ fn main() {
         if smoke() { " [smoke]" } else { "" }
     );
 
-    let doors = [FrontDoor::Threaded, FrontDoor::Epoll { shards: 2 }];
     let mut cells = Vec::new();
-    for front_door in doors {
-        for target in TARGETS {
-            for fault in [Fault::Panic, Fault::Stall] {
-                cells.push(run_recovery_cell(target, fault, front_door, total));
-            }
+    for target in TARGETS {
+        for fault in [Fault::Panic, Fault::Stall] {
+            cells.push(run_recovery_cell(target, fault, total));
         }
-        cells.push(run_escalation_cell("dispatch-budget", front_door, total));
-        cells.push(run_escalation_cell("accept", front_door, total));
     }
+    cells.push(run_escalation_cell("dispatch-budget", total));
+    cells.push(run_escalation_cell("accept", total));
 
     let rows: Vec<Vec<String>> = cells
         .iter()
         .map(|c| {
             vec![
-                c.front_door.to_string(),
                 c.component.to_string(),
                 c.fault.to_string(),
                 format!("{}", c.counts.get("ok").copied().unwrap_or(0)),
@@ -530,7 +461,6 @@ fn main() {
     print_table(
         "supervision under component chaos",
         &[
-            "front door",
             "component",
             "fault",
             "ok",
@@ -559,7 +489,6 @@ fn main() {
             "smoke": smoke(),
         },
         "cells": cells.iter().map(|c| serde_json::json!({
-            "front_door": c.front_door,
             "component": c.component,
             "fault": c.fault,
             "counts": serde_json::Value::Object(

@@ -2,7 +2,7 @@
 //!
 //! Everything else in this harness measures the *simulated* system. This
 //! binary measures the *served* one: the `arlo-serve` stack — wire
-//! protocol, reader threads, bounded dispatch, batch-coalescing worker-pool
+//! protocol, epoll shards, bounded dispatch, batch-coalescing worker-pool
 //! executor, timer-driven Runtime Scheduler — under the paper's two
 //! workloads, replayed by a multi-connection load generator in scaled
 //! virtual time. Latency percentiles are virtual dispatch→completion times
@@ -32,17 +32,18 @@
 //!   instead of per request. Answers stay per-sub-request, so the
 //!   zero-loss accounting is unchanged; the cells record the goodput and
 //!   wire-side effect of batched framing.
-//! * **connection scaling** (front doors): a storm of concurrent
-//!   connections — 1k on both front doors, 10k on the epoll event loop —
-//!   each submitting once and holding its socket open. The storm client
-//!   runs in a re-exec'd child process so parent and child each stay
-//!   under the host's per-process fd rlimit; the parent polls its own
+//! * **connection scaling**: a storm of concurrent connections — 1k and
+//!   10k on the epoll event loops — each submitting once and holding its
+//!   socket open. The storm client runs in a re-exec'd child process
+//!   ([`arlo_bench::storm`]) so parent and child each stay under the
+//!   host's per-process fd rlimit; the parent polls its own
 //!   connection registry to record peak concurrency and asserts exact
 //!   conservation (`ok + shed + unserviceable + draining == submitted`,
 //!   nothing lost, nothing refused) from the child's counts.
 //!
 //! Writes `results/BENCH_serve.json`.
 
+use arlo_bench::storm::{run_storm_child, storm_child_role, StormCounts};
 use arlo_bench::{json_f64, print_table, write_json};
 use arlo_core::engine::{ArloEngine, EngineConfig};
 use arlo_core::request_scheduler::ArloRequestScheduler;
@@ -50,17 +51,13 @@ use arlo_runtime::batching::{BatchPolicy, BatchSpec};
 use arlo_runtime::models::ModelSpec;
 use arlo_runtime::profile::{profile_runtimes, RuntimeProfile};
 use arlo_runtime::runtime_set::RuntimeSet;
-use arlo_serve::loadgen::{connection_storm, replay, LoadGenConfig, StormConfig};
-use arlo_serve::server::{FrontDoor, ServeConfig, Server};
+use arlo_serve::loadgen::{replay, LoadGenConfig, StormConfig};
+use arlo_serve::server::{ServeConfig, Server};
 use arlo_sim::driver::{NoopAllocator, SimConfig, Simulation};
 use arlo_trace::workload::TraceSpec;
 use arlo_trace::NANOS_PER_SEC;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::HashMap;
-use std::io::Read;
-use std::net::SocketAddr;
-use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
 
 const SLO_MS: f64 = 150.0;
@@ -326,67 +323,21 @@ fn run_framing_cell(spec: &TraceSpec, seed: u64, submit_batch: usize) -> Framing
     }
 }
 
-/// Storm-client role: `run_conn_cell` re-execs this binary with
-/// `ARLO_STORM_ADDR` set so the storm's sockets are charged to a second
-/// process — at 10k connections, parent (server) and child (client) each
-/// hold ~10k fds, and either alone fits under a 20k per-process rlimit
-/// where a single process holding both ends would not.
-///
-/// The child prints a single machine-readable `STORM_RESULT k=v ...` line
-/// on stdout and exits; the parent parses it for the cell's counts.
-fn storm_child() {
-    let addr: SocketAddr = std::env::var("ARLO_STORM_ADDR")
-        .expect("ARLO_STORM_ADDR")
-        .parse()
-        .expect("storm addr");
-    let env_u64 = |key: &str, default: u64| {
-        std::env::var(key)
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
-    };
-    let mut cfg = StormConfig::new(env_u64("ARLO_STORM_CONNS", 1_000) as usize);
-    cfg.threads = env_u64("ARLO_STORM_THREADS", 4) as usize;
-    cfg.submits_per_conn = env_u64("ARLO_STORM_SUBMITS", 1) as u32;
-    cfg.hold = Duration::from_millis(env_u64("ARLO_STORM_HOLD_MS", 1_500));
-    // A 10k-connection wave can overflow the listen backlog; SYN
-    // retransmits recover, but only if the connect timeout outlives them.
-    cfg.connect_timeout = Duration::from_secs(20);
-    cfg.deadline = Duration::from_secs(120);
-    let report = connection_storm(addr, &cfg).expect("connection storm");
-    println!(
-        "STORM_RESULT connected={} refused={} connect_errors={} submitted={} ok={} \
-         shed={} unserviceable={} draining={} failed={} lost={} conserved={} wall_ms={}",
-        report.connected,
-        report.refused,
-        report.connect_errors,
-        report.submitted,
-        report.ok,
-        report.shed,
-        report.unserviceable,
-        report.draining,
-        report.failed,
-        report.lost,
-        u64::from(report.conserved()),
-        report.wall.as_millis(),
-    );
-}
-
 struct ConnCell {
-    front_door: FrontDoor,
     conns: usize,
     peak_active: u64,
-    counts: HashMap<String, u64>,
+    counts: StormCounts,
     wall: Duration,
 }
 
-/// One connection-scaling cell: spawn the server on `front_door`, re-exec
-/// this binary as the storm client, record the server's peak concurrent
-/// connection count while the storm holds, and assert exact conservation
-/// on both sides of the wire.
-fn run_conn_cell(front_door: FrontDoor, conns: usize) -> ConnCell {
+/// One connection-scaling cell: spawn the server, run the storm client in
+/// a child process (at 10k connections, server and client each hold ~10k
+/// fds, and either alone fits under a 20k per-process rlimit where one
+/// process holding both ends would not), record the server's peak
+/// concurrent connection count while the storm holds, and assert exact
+/// conservation on both sides of the wire.
+fn run_conn_cell(conns: usize) -> ConnCell {
     let mut cfg = serve_config(BatchPolicy::greedy(BatchSpec::SINGLE), SCALE);
-    cfg.front_door = front_door;
     cfg.max_conns = conns + 256;
     cfg.queue_capacity = 16_384;
     // The storm holds sockets open deliberately; don't reap them under it.
@@ -394,65 +345,37 @@ fn run_conn_cell(front_door: FrontDoor, conns: usize) -> ConnCell {
     // Reallocation off: the cell measures the front door, not the allocator.
     let server = Server::spawn(engine(100_000), "127.0.0.1:0", cfg).expect("bind loopback");
     let addr = server.local_addr();
-    let hold_ms: u64 = if conns >= 10_000 { 3_000 } else { 1_500 };
 
-    let started = Instant::now();
-    let mut child = Command::new(std::env::current_exe().expect("current_exe"))
-        .env("ARLO_STORM_ADDR", addr.to_string())
-        .env("ARLO_STORM_CONNS", conns.to_string())
-        .env("ARLO_STORM_THREADS", "4")
-        .env("ARLO_STORM_SUBMITS", "1")
-        .env("ARLO_STORM_HOLD_MS", hold_ms.to_string())
-        .stdout(Stdio::piped())
-        .spawn()
-        .expect("spawn storm child");
+    let mut storm = StormConfig::new(conns);
+    storm.threads = 4;
+    storm.submits_per_conn = 1;
+    storm.hold = Duration::from_millis(if conns >= 10_000 { 3_000 } else { 1_500 });
+    // A 10k-connection wave can overflow the listen backlog; SYN
+    // retransmits recover, but only if the connect timeout outlives them.
+    storm.connect_timeout = Duration::from_secs(20);
+    storm.deadline = Duration::from_secs(120);
 
     // Peak concurrency from the server's own registry: the 10k cell must
     // actually *hold* 10k connections at once, not merely churn them.
+    let started = Instant::now();
     let mut peak_active: u64 = 0;
-    loop {
+    let counts = run_storm_child(addr, &storm, || {
         peak_active = peak_active.max(server.active_connections() as u64);
-        match child.try_wait().expect("wait storm child") {
-            Some(status) => {
-                assert!(status.success(), "storm child failed: {status}");
-                break;
-            }
-            None => std::thread::sleep(Duration::from_millis(2)),
-        }
-    }
+    });
     let wall = started.elapsed();
-    let mut out = String::new();
-    child
-        .stdout
-        .take()
-        .expect("child stdout")
-        .read_to_string(&mut out)
-        .expect("read child stdout");
-    let line = out
-        .lines()
-        .find(|l| l.starts_with("STORM_RESULT"))
-        .unwrap_or_else(|| panic!("no STORM_RESULT in storm child output:\n{out}"));
-    let counts: HashMap<String, u64> = line
-        .split_whitespace()
-        .skip(1)
-        .map(|kv| {
-            let (k, v) = kv.split_once('=').expect("k=v pair");
-            (k.to_string(), v.parse().expect("numeric count"))
-        })
-        .collect();
     let g = |k: &str| counts[k];
-    let tag = format!("{}@{conns}", front_door.name());
+    let tag = format!("epoll@{conns}");
 
-    assert_eq!(g("connect_errors"), 0, "{tag}: {line}");
-    assert_eq!(g("connected"), conns as u64, "{tag}: {line}");
-    assert_eq!(g("refused"), 0, "{tag}: {line}");
-    assert_eq!(g("failed"), 0, "{tag}: {line}");
-    assert_eq!(g("lost"), 0, "{tag}: {line}");
-    assert_eq!(g("conserved"), 1, "{tag}: {line}");
+    assert_eq!(g("connect_errors"), 0, "{tag}: {counts:?}");
+    assert_eq!(g("connected"), conns as u64, "{tag}: {counts:?}");
+    assert_eq!(g("refused"), 0, "{tag}: {counts:?}");
+    assert_eq!(g("failed"), 0, "{tag}: {counts:?}");
+    assert_eq!(g("lost"), 0, "{tag}: {counts:?}");
+    assert_eq!(g("conserved"), 1, "{tag}: {counts:?}");
     assert_eq!(
         g("ok") + g("shed") + g("unserviceable") + g("draining"),
         g("submitted"),
-        "{tag}: {line}"
+        "{tag}: {counts:?}"
     );
     assert!(
         peak_active >= conns as u64,
@@ -468,7 +391,6 @@ fn run_conn_cell(front_door: FrontDoor, conns: usize) -> ConnCell {
         "{tag}: server-side conservation: {drain:?}"
     );
     ConnCell {
-        front_door,
         conns,
         peak_active,
         counts,
@@ -479,8 +401,7 @@ fn run_conn_cell(front_door: FrontDoor, conns: usize) -> ConnCell {
 fn main() {
     // Re-exec'd storm-client role for the connection-scaling cells: run
     // the storm and print counts instead of the benchmark.
-    if std::env::var_os("ARLO_STORM_ADDR").is_some() {
-        storm_child();
+    if storm_child_role() {
         return;
     }
 
@@ -672,25 +593,14 @@ fn main() {
         &framing_rows,
     );
 
-    // Connection scaling: the readiness event loop vs the
-    // thread-per-connection plane. The threaded 10k cell is deliberately
-    // absent — at ~4 fds and 2 threads per connection it would need ~40k
-    // fds, past this host's 20k per-process rlimit — and its absence is
-    // recorded in the JSON rather than silently dropped.
-    let conn_cells = vec![
-        run_conn_cell(FrontDoor::Threaded, 1_000),
-        run_conn_cell(FrontDoor::epoll(), 1_000),
-        run_conn_cell(FrontDoor::epoll(), 10_000),
-    ];
-    let threaded_10k_skip = "thread-per-connection needs ~4 fds + 2 threads per conn; \
-                             10k conns exceeds the 20k fd rlimit";
-    eprintln!("  connection_scaling: threaded@10000 skipped — {threaded_10k_skip}");
+    // Connection scaling: the epoll event loops holding 1k and 10k
+    // concurrent connections.
+    let conn_cells = vec![run_conn_cell(1_000), run_conn_cell(10_000)];
     let mut conn_rows = Vec::new();
     let mut conn_json = Vec::new();
     for cell in &conn_cells {
         let g = |k: &str| cell.counts[k];
         conn_rows.push(vec![
-            cell.front_door.name().to_string(),
             format!("{}", cell.conns),
             format!("{}", cell.peak_active),
             format!("{}", g("submitted")),
@@ -701,7 +611,6 @@ fn main() {
             format!("{:.1}", cell.wall.as_secs_f64()),
         ]);
         conn_json.push(serde_json::json!({
-            "front_door": cell.front_door.name(),
             "conns": cell.conns,
             "peak_active": cell.peak_active,
             "connected": g("connected"),
@@ -721,7 +630,6 @@ fn main() {
     print_table(
         "connection scaling (storm client in a child process, counts conserved)",
         &[
-            "front door",
             "conns",
             "peak",
             "submitted",
@@ -781,11 +689,6 @@ fn main() {
             },
             "connection_scaling": {
                 "cells": conn_json,
-                "skipped": [{
-                    "front_door": "threaded",
-                    "conns": 10_000,
-                    "reason": threaded_10k_skip,
-                }],
             },
         }),
     );

@@ -1,7 +1,7 @@
 //! **Extension** — multi-tenant serving benchmark: per-tenant engines,
-//! SLO-class admission, and the live GPU re-granting coordinator, under
-//! both front doors. Two experiments per plane, sharing one tenant set
-//! (`interactive` / `standard` / `batch`):
+//! SLO-class admission, and the live GPU re-granting coordinator. Two
+//! experiments, sharing one tenant set (`interactive` / `standard` /
+//! `batch`):
 //!
 //! * **admission (static partition)** — a [`Server::spawn_multi_static`]
 //!   deployment pins 3 GPUs per tenant, and every tenant offers the same
@@ -36,8 +36,8 @@
 //! comparison. Distinct-SLO tenants are exercised end-to-end in
 //! `crates/serve/tests/tenants_e2e.rs`.
 //!
-//! `EXT_TENANTS_SMOKE=1` shrinks the phase length for CI; the structure,
-//! the assertions, and both planes are unchanged.
+//! `EXT_TENANTS_SMOKE=1` shrinks the phase length for CI; the structure
+//! and the assertions are unchanged.
 
 use arlo_bench::{json_f64, print_table, write_json};
 use arlo_core::engine::{ArloEngine, EngineConfig};
@@ -46,7 +46,7 @@ use arlo_runtime::models::ModelSpec;
 use arlo_runtime::profile::profile_runtimes;
 use arlo_runtime::runtime_set::RuntimeSet;
 use arlo_serve::loadgen::{replay, LoadGenConfig, LoadGenReport};
-use arlo_serve::server::{DrainReport, FrontDoor, ServeConfig, Server};
+use arlo_serve::server::{DrainReport, ServeConfig, Server};
 use arlo_serve::tenants::{RegrantEvent, SloClass, TenantSpec};
 use arlo_trace::workload::TraceSpec;
 use arlo_trace::NANOS_PER_SEC;
@@ -111,7 +111,7 @@ fn tenants() -> Vec<(TenantSpec, ArloEngine)> {
         .collect()
 }
 
-fn config(front_door: FrontDoor, time_scale: u32) -> ServeConfig {
+fn config(time_scale: u32) -> ServeConfig {
     ServeConfig {
         time_scale,
         // Small enough that the overload phase drives outstanding work
@@ -126,7 +126,6 @@ fn config(front_door: FrontDoor, time_scale: u32) -> ServeConfig {
         tick_interval: NANOS_PER_SEC / 5,
         drain_timeout: std::time::Duration::from_secs(30),
         batch: BatchPolicy::greedy(BatchSpec::SINGLE),
-        front_door,
         ..ServeConfig::new(GPUS)
     }
     // Re-partition every virtual second from a three-second demand window:
@@ -296,24 +295,27 @@ fn tenant_index(name: &str) -> usize {
 
 /// Server-side conservation for one drained server whose tenants saw
 /// exactly the given per-tenant client sends.
-fn assert_server_conserved(plane: &str, drain: &DrainReport, offered: &[u64]) {
-    assert_eq!(drain.outstanding_at_close, 0, "{plane}: drain left work");
+fn assert_server_conserved(experiment: &str, drain: &DrainReport, offered: &[u64]) {
+    assert_eq!(
+        drain.outstanding_at_close, 0,
+        "{experiment}: drain left work"
+    );
     assert_eq!(drain.unknown_tenants, 0);
     assert_eq!(
         drain.submits,
         drain.served + drain.shed + drain.unserviceable + drain.failed,
-        "{plane}: global conservation violated: {drain:?}"
+        "{experiment}: global conservation violated: {drain:?}"
     );
     for (t, &sent) in drain.tenants.iter().zip(offered) {
         assert_eq!(
             t.submits,
             t.served + t.shed + t.unserviceable + t.failed + t.outstanding_at_close,
-            "{plane}: tenant {} leaks requests: {t:?}",
+            "{experiment}: tenant {} leaks requests: {t:?}",
             t.name
         );
         assert_eq!(
             t.submits, sent,
-            "{plane}: tenant {} saw {} submits for {} client sends",
+            "{experiment}: tenant {} saw {} submits for {} client sends",
             t.name, t.submits, sent
         );
     }
@@ -380,12 +382,7 @@ fn table_rows(rows: &mut Vec<Vec<String>>, phase: &Phase) {
     }
 }
 
-fn run_plane(
-    front_door: FrontDoor,
-    plane: &str,
-    admit_secs: f64,
-    shift_secs: f64,
-) -> serde_json::Value {
+fn run_experiments(admit_secs: f64, shift_secs: f64) -> serde_json::Value {
     let (interactive, standard, batch) = (
         tenant_index("interactive"),
         tenant_index("standard"),
@@ -393,9 +390,8 @@ fn run_plane(
     );
 
     // --- experiment 1: SLO-class admission at a static partition -----------
-    let server =
-        Server::spawn_multi_static(tenants(), "127.0.0.1:0", config(front_door, ADMIT_SCALE))
-            .expect("bind loopback");
+    let server = Server::spawn_multi_static(tenants(), "127.0.0.1:0", config(ADMIT_SCALE))
+        .expect("bind loopback");
     let overload = run_phase(
         &server,
         ADMIT_SCALE,
@@ -412,7 +408,7 @@ fn run_plane(
             .grant_samples
             .iter()
             .all(|g| g.iter().all(|&x| x == even)),
-        "{plane}: static partition drifted: {:?}",
+        "static partition drifted: {:?}",
         overload.grant_samples
     );
     let shed = |i: usize| overload.cells[i].report.shed;
@@ -421,21 +417,21 @@ fn run_plane(
     // tier, so the sheds must order strictly by class.
     assert!(
         shed(interactive) < shed(standard) && shed(standard) < shed(batch),
-        "{plane}: overload sheds out of class order: {:?}",
+        "overload sheds out of class order: {:?}",
         [shed(interactive), shed(standard), shed(batch)]
     );
     assert!(
         overload.cells[interactive].ok_frac() > overload.cells[batch].ok_frac(),
-        "{plane}: interactive landed no more of its offered load than batch: {:.3} vs {:.3}",
+        "interactive landed no more of its offered load than batch: {:.3} vs {:.3}",
         overload.cells[interactive].ok_frac(),
         overload.cells[batch].ok_frac()
     );
     let offered: Vec<u64> = overload.cells.iter().map(|c| c.report.sent).collect();
-    assert_server_conserved(plane, &admission_drain, &offered);
+    assert_server_conserved("admission", &admission_drain, &offered);
 
     // --- experiment 2: the live coordinator chases a shifting mix ----------
-    let server = Server::spawn_multi(tenants(), "127.0.0.1:0", config(front_door, SHIFT_SCALE))
-        .expect("bind loopback");
+    let server =
+        Server::spawn_multi(tenants(), "127.0.0.1:0", config(SHIFT_SCALE)).expect("bind loopback");
     let mut shift_phases = Vec::new();
     for (i, &(name, rates)) in SHIFT_PHASES.iter().enumerate() {
         shift_phases.push(run_phase(
@@ -450,35 +446,32 @@ fn run_plane(
     let regrants: Vec<RegrantEvent> = server.regrants();
     let shifting_drain = server.drain();
 
-    assert!(
-        !regrants.is_empty(),
-        "{plane}: coordinator never re-granted"
-    );
+    assert!(!regrants.is_empty(), "coordinator never re-granted");
     for ev in &regrants {
         assert_eq!(
             ev.gpus_after.iter().sum::<u32>(),
             GPUS,
-            "{plane}: re-grant leaked GPUs: {ev:?}"
+            "re-grant leaked GPUs: {ev:?}"
         );
     }
     assert!(
         regrants.iter().any(|ev| ev.moved_gpus >= 1),
-        "{plane}: every re-grant was a no-op reshape"
+        "every re-grant was a no-op reshape"
     );
     assert!(
         shift_phases[0].saw(|g| g[interactive] > g[batch]),
-        "{plane}: GPUs never followed the interactive-heavy mix: {:?}",
+        "GPUs never followed the interactive-heavy mix: {:?}",
         shift_phases[0].grant_samples
     );
     assert!(
         shift_phases[1].saw(|g| g[batch] > g[interactive]),
-        "{plane}: GPUs never followed the batch-heavy mix: {:?}",
+        "GPUs never followed the batch-heavy mix: {:?}",
         shift_phases[1].grant_samples
     );
     let offered: Vec<u64> = (0..TENANTS.len())
         .map(|i| shift_phases.iter().map(|p| p.cells[i].report.sent).sum())
         .collect();
-    assert_server_conserved(plane, &shifting_drain, &offered);
+    assert_server_conserved("shifting", &shifting_drain, &offered);
 
     // --- report ------------------------------------------------------------
     let mut rows = Vec::new();
@@ -487,7 +480,7 @@ fn run_plane(
         table_rows(&mut rows, phase);
     }
     print_table(
-        &format!("{plane}: admission (static grants) + shifting mix (live coordinator)"),
+        "admission (static grants) + shifting mix (live coordinator)",
         &[
             "phase/tenant",
             "rate",
@@ -519,7 +512,6 @@ fn run_plane(
         .collect();
 
     serde_json::json!({
-        "front_door": plane,
         "admission": {
             "phase": phase_json(&overload),
             "server": drain_json(&admission_drain),
@@ -541,15 +533,7 @@ fn main() {
     // ordering assertion has no signal.
     let admit_secs = 8.0;
     let shift_secs = if smoke { 4.0 } else { 8.0 };
-    let planes = vec![
-        run_plane(FrontDoor::Threaded, "threaded", admit_secs, shift_secs),
-        run_plane(
-            FrontDoor::Epoll { shards: 2 },
-            "epoll",
-            admit_secs,
-            shift_secs,
-        ),
-    ];
+    let experiments = run_experiments(admit_secs, shift_secs);
     write_json(
         "BENCH_tenants",
         &serde_json::json!({
@@ -568,7 +552,7 @@ fn main() {
             "shift_phases": SHIFT_PHASES.iter().map(|&(n, r)| serde_json::json!({
                 "name": n, "rates_rps": r.to_vec(),
             })).collect::<Vec<_>>(),
-            "planes": planes,
+            "experiments": experiments,
         }),
     );
 }

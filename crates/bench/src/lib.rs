@@ -22,6 +22,7 @@
 //! ```
 
 pub mod chart;
+pub mod storm;
 
 use arlo_sim::metrics::SimReport;
 use std::fmt::Write as _;

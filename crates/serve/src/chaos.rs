@@ -377,7 +377,7 @@ impl<S: Write> Write for FaultyStream<S> {
 /// The readiness-compatible twin of [`FaultyStream`]: the same
 /// [`ChaosPlan`] schedule applied to a *non-blocking* transport.
 ///
-/// [`FaultyStream`] serves the thread-per-connection world, where a
+/// [`FaultyStream`] serves blocking clients, where a
 /// [`Action::Delay`]/[`Action::Stall`] may simply `sleep` on the
 /// connection's own thread. An epoll event loop must never sleep on one
 /// connection, so this adapter converts every time-based action into a
@@ -386,8 +386,8 @@ impl<S: Write> Write for FaultyStream<S> {
 /// deadline keep returning `WouldBlock`; the first attempt at/after the
 /// deadline performs the armed action's I/O (a full read for `Delay`, the
 /// one-byte dribble for `Stall`). One `decide()` is consumed per *logical*
-/// I/O operation, exactly like `FaultyStream`, so the fault schedule for a
-/// given `(config, conn)` pair is the same on both front doors.
+/// I/O operation, exactly like `FaultyStream`, so a given `(config, conn)`
+/// pair yields the same fault schedule through either adapter.
 ///
 /// The event loop uses [`NonBlockingChaos::ready_at`] to bound its poll
 /// timeout and drops the fd's epoll interest during a window, so a

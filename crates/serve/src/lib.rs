@@ -22,16 +22,16 @@
 //!   ([`chaos::FaultyStream`] driven by a [`chaos::ChaosPlan`]): delays,
 //!   partial I/O, bit corruption, abrupt resets, slowloris stalls —
 //!   attachable on the client side (loadgen) and, via
-//!   [`server::ServeConfig::server_chaos`], to the server's accepted
-//!   sockets.
+//!   [`server::ServeConfig::server_chaos`] and its non-blocking twin
+//!   [`chaos::NonBlockingChaos`], to the server's accepted sockets.
 //! - [`clock`] — the [`clock::VirtualClock`] that anchors the engine's
 //!   monotonic nanoseconds and scales them for accelerated runs.
 //! - [`executor`] — a worker pool that charges each placed request its
 //!   profiled execution cost on a per-instance serial clock, then reports
 //!   completion through the engine's health hooks.
 //! - [`epoll`] — a dependency-free, level-triggered epoll/eventfd wrapper
-//!   over [`std::os::fd`], the readiness substrate for the event-loop
-//!   front door (and the high-connection-count load generator).
+//!   over [`std::os::fd`], the readiness substrate for the server's
+//!   event loops (and the high-connection-count load generator).
 //! - [`queue`] — the bounded MPMC dispatch queue with shutdown-aware
 //!   wakeup that feeds each tenant's dispatch-worker pool.
 //! - [`supervisor`] — the supervision tree: every long-lived server
@@ -47,15 +47,12 @@
 //!   admission under overload), tenant specs, the sliding per-tenant
 //!   demand windows the GPU re-granting coordinator plans over, and the
 //!   deterministic weighted tenant-tagging the load generator uses.
-//! - [`server`] — the TCP front door: acceptor, a bounded dispatch queue
+//! - [`server`] — the TCP front door: acceptor, N sharded epoll event
+//!   loops driving non-blocking per-connection state machines (two OS
+//!   threads per shard, not per connection), a bounded dispatch queue
 //!   (overflow ⇒ explicit shed frames), a timer thread driving health
 //!   ticks and periodic reallocation, and a graceful drain that flushes
-//!   every outstanding request before closing. Two interchangeable
-//!   connection planes ([`server::FrontDoor`]): the historical
-//!   thread-per-connection reader/writer pairs, and N sharded epoll event
-//!   loops driving non-blocking per-connection state machines — same
-//!   doom/backpressure/chaos semantics, two OS threads *total* per shard
-//!   instead of two per connection.
+//!   every outstanding request before closing.
 //! - [`loadgen`] — open- and closed-loop trace replay over real sockets,
 //!   for the `ext_serve` benchmark and the end-to-end tests, plus the
 //!   epoll-based [`loadgen::connection_storm`] client pool that holds tens
@@ -85,9 +82,7 @@ pub use loadgen::{
 pub use protocol::{ErrorBudget, ErrorCode, Frame, FrameWriteBuf, StatsPayload, Sub, WireVersion};
 pub use queue::{BoundedQueue, PushError};
 pub use registry::StripedMap;
-pub use server::{
-    DrainReport, FrontDoor, HotpathStats, ServeConfig, Server, TenantDrainReport, TenantStats,
-};
+pub use server::{DrainReport, HotpathStats, ServeConfig, Server, TenantDrainReport, TenantStats};
 pub use supervisor::{
     RestartPolicy, SupervisedCtx, Supervisor, SupervisorEvent, SupervisorEventKind,
 };

@@ -622,7 +622,7 @@ impl Frame {
     }
 
     /// Append this frame, encoded at `version`, to `buf` — the reusable-
-    /// buffer encode path writer threads use to avoid a `Vec` per frame.
+    /// buffer encode path that avoids a `Vec` per frame.
     ///
     /// Panics if the frame cannot be expressed at `version`
     /// ([`Frame::BatchedSubmit`] below v2): that is a local programming
@@ -1069,8 +1069,8 @@ impl FrameReader {
 /// The write-side twin of [`FrameReader`]: an incremental frame *encoder*
 /// for non-blocking transports that accept bytes in arbitrary amounts.
 ///
-/// The thread-per-connection writer can loop `write_all` until a frame is
-/// out; an event loop cannot — a `WouldBlock` mid-frame must leave the
+/// A blocking writer can loop `write_all` until a frame is out; an event
+/// loop cannot — a `WouldBlock` mid-frame must leave the
 /// remaining bytes buffered and resume exactly where it stopped once the
 /// socket turns writable. A `FrameWriteBuf` owns that state:
 ///
@@ -1084,8 +1084,7 @@ impl FrameReader {
 ///   dead peer as an error, not an infinite loop.
 ///
 /// Consecutive pushes coalesce into one buffer, so a single syscall can
-/// carry hundreds of small frames — the same amortization the threaded
-/// writer gets from its vectored batch writes.
+/// carry hundreds of small frames.
 #[derive(Debug, Default)]
 pub struct FrameWriteBuf {
     buf: Vec<u8>,

@@ -7,7 +7,7 @@
 //! outbound-queue push. [`StripedMap`] splits the table into N
 //! independently-locked stripes selected by the low bits of the key, so
 //! two responders touching different connections never contend, and the
-//! epoll plane's round-robin shard assignment (`conn_id % shards`) maps
+//! acceptor's round-robin shard assignment (`conn_id % shards`) maps
 //! each shard's connections onto a disjoint set of stripes whenever the
 //! stripe count is a multiple of the shard count — the stripes are
 //! *aligned with the front door*, so a shard draining its own connections
@@ -15,9 +15,9 @@
 //!
 //! The map intentionally exposes no guard: lookups happen inside
 //! [`StripedMap::with`], which scopes the stripe lock to the closure. The
-//! server's `respond` clones the cheap route ends (an `Arc`, a channel
-//! sender) inside the closure and performs the actual queue/socket write
-//! *after* the stripe is released — the registry invariant that replaces
+//! server's `respond` clones the cheap route ends (two `Arc`s) inside the
+//! closure and performs the actual queue write *after* the stripe is
+//! released — the registry invariant that replaces
 //! the old "push under the registry lock" close-race protection (that
 //! race is now handled by the outbound queue's own `closed` flag; see
 //! `server::Outbound`).
@@ -95,19 +95,6 @@ impl<V> StripedMap<V> {
         self.len() == 0
     }
 
-    /// Drain every stripe, returning all values (drain/shutdown path).
-    pub fn drain_all(&self) -> Vec<V> {
-        let mut out = Vec::new();
-        for stripe in self.stripes.iter() {
-            self.lock_ops.fetch_add(1, Ordering::Relaxed);
-            let mut guard = stripe.lock();
-            let taken = guard.len();
-            out.extend(guard.drain().map(|(_, v)| v));
-            self.len.fetch_sub(taken, Ordering::Relaxed);
-        }
-        out
-    }
-
     /// Number of stripes (post power-of-two rounding).
     pub fn stripe_count(&self) -> usize {
         self.mask + 1
@@ -155,19 +142,6 @@ mod tests {
         assert_eq!(map.insert(7, "b"), Some("a"));
         assert_eq!(map.len(), 1);
         assert_eq!(map.with(7, |v| v.copied()), Some("b"));
-    }
-
-    #[test]
-    fn drain_all_empties_every_stripe() {
-        let map = StripedMap::new(4);
-        for key in 0..32u64 {
-            map.insert(key, key);
-        }
-        let mut drained = map.drain_all();
-        drained.sort_unstable();
-        assert_eq!(drained, (0..32).collect::<Vec<u64>>());
-        assert_eq!(map.len(), 0);
-        assert!(map.is_empty());
     }
 
     #[test]

@@ -1,29 +1,9 @@
-//! The multi-threaded TCP front door over [`ArloEngine`].
-//!
-//! Two interchangeable connection planes share everything behind the
-//! accept socket — dispatch, executor, drain, error budgets, negotiation,
-//! chaos contract — selected by [`ServeConfig::front_door`]:
-//!
-//! **Threaded** (the historical plane; one box per OS thread kind):
-//!
-//! ```text
-//!   clients ──TCP──► reader (1/conn) ──bounded MPSC──► dispatch ──► executor pool
-//!                        │                                │              │
-//!                        │ shed/drain errors              │ engine.submit│ sleeps exec,
-//!                        ▼                                ▼              ▼ reports health,
-//!        writer (1/conn) ◄── bounded outbound queue ◄── responses ◄── completion
-//!
-//!   acceptor: accepts connections (admission-limited), spawns reader+writer
-//!   timer:    engine.health_tick + maybe_reallocate/apply_allocation,
-//!             joins finished connection threads
-//! ```
-//!
-//! **Epoll** ([`FrontDoor::Epoll`]; see `DESIGN.md` §12): the same
-//! acceptor/dispatch/executor/timer threads, but connections live as
-//! *non-blocking state machines* on `N` sharded event-loop threads —
-//! two OS threads per **shard** instead of two per **connection**, which
-//! is what makes 10k+ concurrent connections a configuration rather than
-//! a thread-count incident:
+//! The TCP front door over [`ArloEngine`]: one acceptor hands each
+//! connection to one of [`ServeConfig::shards`] epoll event loops (see
+//! `DESIGN.md` §12), where it lives as a *non-blocking state machine* —
+//! two OS threads per **shard**, not per connection, which is what makes
+//! 10k+ concurrent connections a configuration rather than a thread-count
+//! incident:
 //!
 //! ```text
 //!   clients ──TCP──► acceptor ──hand-off──► shard 0..N (epoll event loops)
@@ -32,31 +12,31 @@
 //!                                             │  FrameWriteBuf ─► nonblocking writes
 //!                                             ├──bounded MPSC──► dispatch ──► executor
 //!                                             ◄── bounded outbound queues ◄── responses
+//!
+//!   acceptor: accepts connections (admission-limited), round-robin to shards
+//!   dispatch: engine.submit (placement), hands jobs to the executor pool
+//!   executor: sleeps each execution, reports health, answers completions
+//!   timer:    engine.health_tick + maybe_reallocate/apply_allocation
 //! ```
 //!
 //! A shard sleeps in `epoll_wait` and is woken by socket readiness, by an
 //! eventfd [`Waker`](crate::epoll::Waker) when another thread queues a
 //! response or dooms a connection, or by its poll timeout (idle reaping,
-//! write-stall dooming, chaos block windows). Per-connection semantics —
-//! bounded outbound queue, doom-on-overflow, write-stall doom, idle reap,
-//! error budget, v1/v2 negotiation, server-side chaos — are identical on
-//! both planes; chaos merely swaps [`FaultyStream`] (which may sleep on
-//! the connection's own thread) for [`NonBlockingChaos`] (which turns the
-//! same schedule's delays into `WouldBlock` windows).
+//! write-stall dooming, chaos block windows).
 //!
 //! Backpressure and failure are explicit end to end:
 //!
-//! - The reader→dispatch channel is bounded; overflow (or an engine-level
+//! - The shard→dispatch queue is bounded; overflow (or an engine-level
 //!   refusal) answers a typed [`ErrorCode::Shed`] frame, never a stall.
 //! - Every response travels through a **bounded per-connection outbound
-//!   queue** drained by that connection's dedicated writer thread, so a
-//!   stalled or slow client can never block the dispatch thread or the
-//!   executor's completion path. A full queue (or a write timeout) dooms
-//!   only that connection — a typed disconnect, not shared-fate
-//!   backpressure.
-//! - Readers poll with a socket read timeout and **reap idle connections**:
-//!   a half-open or silent socket is closed after `idle_timeout` and its
-//!   thread joined by the timer, so reader threads cannot leak.
+//!   queue** drained by the connection's shard, so a stalled or slow
+//!   client can never block the dispatch thread or the executor's
+//!   completion path. A full queue (or a write stalled past
+//!   `write_timeout`) dooms only that connection — a typed disconnect, not
+//!   shared-fate backpressure.
+//! - Shards sweep their connections every `read_timeout` and **reap idle
+//!   connections**: a half-open or silent socket is closed after
+//!   `idle_timeout`, so connection state cannot leak.
 //! - Malformed frames with an intact header are *skipped* and charged
 //!   against a per-connection **weighted error budget** (see
 //!   [`ErrorBudget`]): a v2 checksum failure costs a single point and is
@@ -71,9 +51,10 @@
 //!   [`Frame::BatchedSubmit`]); a legacy client that never says hello
 //!   stays on v1 and everything keeps working.
 //! - With [`ServeConfig::server_chaos`] set (tests only), every accepted
-//!   socket is wrapped in a [`FaultyStream`] on both directions, so the
-//!   reader/writer/dispatch error paths run under the same deterministic
-//!   seeded fault schedules the client-side chaos harness uses.
+//!   socket runs behind a [`NonBlockingChaos`] plan in each direction, so
+//!   the shard and dispatch error paths run under the same deterministic
+//!   seeded fault schedules the client-side chaos harness uses (delays
+//!   become `WouldBlock` windows instead of sleeps).
 //! - The acceptor enforces `max_conns`: beyond it, a new connection is
 //!   answered with a single [`ErrorCode::Shed`] frame and closed.
 //! - A panicking executor completion callback is caught by the worker; the
@@ -87,7 +68,7 @@
 //! every queued response frame, then closes connections and joins all
 //! threads.
 
-use crate::chaos::{ChaosConfig, ComponentChaos, FaultyStream, NonBlockingChaos};
+use crate::chaos::{ChaosConfig, ComponentChaos, NonBlockingChaos};
 use crate::clock::VirtualClock;
 use crate::epoll::{Epoll, Interest, Waker, WAKER_TOKEN};
 use crate::executor::{CompletedBatch, Executor, Job};
@@ -108,76 +89,11 @@ use arlo_trace::Nanos;
 use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
 use std::io;
-use std::io::{IoSlice, Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::io::{Read, Write};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Which connection plane the server runs its accepted sockets on.
-///
-/// Everything above the sockets — dispatch, executor, drain, counters,
-/// protocol — is identical; the choice is purely how many OS threads a
-/// connection costs (two each, vs. two per *shard*).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FrontDoor {
-    /// One reader and one writer thread per connection (the historical
-    /// plane). Simple, blocking I/O; costs two OS threads per connection.
-    Threaded,
-    /// `shards` epoll event-loop threads, each owning a slice of the
-    /// connections as non-blocking state machines. Scales to tens of
-    /// thousands of connections on a handful of threads.
-    Epoll {
-        /// Event-loop threads (clamped to at least 1). Connections are
-        /// assigned round-robin at accept.
-        shards: usize,
-    },
-}
-
-impl FrontDoor {
-    /// Default shard count for [`FrontDoor::epoll`].
-    pub const DEFAULT_EPOLL_SHARDS: usize = 2;
-
-    /// The epoll plane with the default shard count.
-    pub fn epoll() -> FrontDoor {
-        FrontDoor::Epoll {
-            shards: FrontDoor::DEFAULT_EPOLL_SHARDS,
-        }
-    }
-
-    /// Read the plane from `ARLO_FRONT_DOOR`: `epoll` or `epoll:<shards>`
-    /// select the event loop, anything else (including unset) the
-    /// threaded plane. This is how the shared e2e suites run against both
-    /// planes in CI without duplicating tests.
-    pub fn from_env() -> FrontDoor {
-        match std::env::var("ARLO_FRONT_DOOR") {
-            Ok(v) => FrontDoor::parse(&v).unwrap_or(FrontDoor::Threaded),
-            Err(_) => FrontDoor::Threaded,
-        }
-    }
-
-    /// Parse `threaded`, `epoll`, or `epoll:<shards>`.
-    pub fn parse(s: &str) -> Option<FrontDoor> {
-        match s {
-            "threaded" => Some(FrontDoor::Threaded),
-            "epoll" => Some(FrontDoor::epoll()),
-            _ => {
-                let shards = s.strip_prefix("epoll:")?.parse::<usize>().ok()?;
-                Some(FrontDoor::Epoll {
-                    shards: shards.max(1),
-                })
-            }
-        }
-    }
-
-    /// Short name for logs and bench tables.
-    pub fn name(self) -> &'static str {
-        match self {
-            FrontDoor::Threaded => "threaded",
-            FrontDoor::Epoll { .. } => "epoll",
-        }
-    }
-}
 
 /// Server tuning knobs.
 #[derive(Debug, Clone)]
@@ -208,21 +124,21 @@ pub struct ServeConfig {
     /// greedy [`BatchSpec::SINGLE`] — reproduces per-request execution
     /// exactly (the paper's batch-1 setting).
     pub batch: BatchPolicy,
-    /// Socket read timeout per poll on connection readers. This is the
-    /// granularity at which readers notice shutdown, doom flags, and idle;
-    /// it does **not** bound frame size or rate (partial frames survive
-    /// timeouts via the incremental [`FrameReader`]).
+    /// Shard sweep tick: the longest a shard sleeps in `epoll_wait`
+    /// before sweeping its connections for idle, doomed, and write-stalled
+    /// ones. It does **not** bound frame size or rate (partial frames
+    /// survive across wakeups via the incremental [`FrameReader`]).
     pub read_timeout: Duration,
     /// Real-time silence window after which a connection is reaped: no
-    /// bytes from the client for this long closes the socket and retires
-    /// the reader thread. Half-open sockets die here instead of leaking.
+    /// bytes from the client for this long closes the socket. Half-open
+    /// sockets die here instead of leaking.
     pub idle_timeout: Duration,
     /// Bound of each connection's outbound response queue. A connection
     /// whose client stalls long enough to fill it is doomed (typed
     /// disconnect) rather than allowed to backpressure dispatch.
     pub outbound_queue: usize,
-    /// Socket write timeout for connection writer threads; a blocked write
-    /// past this dooms the connection.
+    /// Write-stall window: a connection whose socket accepts no bytes for
+    /// this long while responses are pending is doomed.
     pub write_timeout: Duration,
     /// Malformed-frame tolerance per connection, in [`ErrorBudget`]
     /// *points*: a v2 checksum mismatch costs
@@ -237,15 +153,15 @@ pub struct ServeConfig {
     /// Admission limit on concurrent connections: beyond it the acceptor
     /// answers one [`ErrorCode::Shed`] frame and closes.
     pub max_conns: usize,
-    /// Test-only fault injection on *accepted* sockets: wrap each
-    /// connection's read and write halves in a [`FaultyStream`] driven by
-    /// deterministic per-connection schedules derived from this config
-    /// (reader plan `conn_id * 2`, writer plan `conn_id * 2 + 1`). `None`
+    /// Test-only fault injection on *accepted* sockets: run each
+    /// connection's reads and writes through a [`NonBlockingChaos`] driven
+    /// by deterministic per-connection schedules derived from this config
+    /// (read plan `conn_id * 2`, write plan `conn_id * 2 + 1`). `None`
     /// — the production setting — serves on bare sockets.
     pub server_chaos: Option<ChaosConfig>,
-    /// Connection plane: thread-per-connection or sharded epoll event
-    /// loops. See [`FrontDoor`].
-    pub front_door: FrontDoor,
+    /// Epoll event-loop threads (clamped to at least 1). The acceptor
+    /// assigns connections to them round-robin.
+    pub shards: usize,
     /// Multi-tenant only ([`Server::spawn_multi`]): virtual interval
     /// between coordinator passes — each pass drains the per-tenant demand
     /// windows, re-partitions the pool with
@@ -319,7 +235,7 @@ impl ServeConfig {
             frame_error_budget: 32,
             max_conns: 4096,
             server_chaos: None,
-            front_door: FrontDoor::Threaded,
+            shards: 2,
             coordinator_interval: arlo_trace::NANOS_PER_SEC,
             coordinator_window: 2 * arlo_trace::NANOS_PER_SEC,
             dispatch_workers: 1,
@@ -348,12 +264,6 @@ impl ServeConfig {
     /// Enable server-side fault injection on accepted sockets (tests).
     pub fn with_server_chaos(mut self, chaos: ChaosConfig) -> Self {
         self.server_chaos = Some(chaos);
-        self
-    }
-
-    /// Select the connection plane.
-    pub fn with_front_door(mut self, front_door: FrontDoor) -> Self {
-        self.front_door = front_door;
         self
     }
 
@@ -416,11 +326,7 @@ impl ServeConfig {
         if self.conn_stripes > 0 {
             return self.conn_stripes;
         }
-        let shards = match self.front_door {
-            FrontDoor::Threaded => 1,
-            FrontDoor::Epoll { shards } => shards.max(1),
-        };
-        shards.max(8)
+        self.shards.max(8)
     }
 }
 
@@ -603,11 +509,10 @@ pub struct HotpathStats {
     pub escalations: u64,
 }
 
-/// A connection's bounded outbound frame queue on the epoll plane — the
-/// event-loop analogue of the threaded plane's `mpsc::sync_channel`.
-/// Producers (`respond`) push under the queue's own lock — *not* the
-/// registry stripe, which they release before touching the queue — and
-/// the owning shard pops into the connection's [`FrameWriteBuf`].
+/// A connection's bounded outbound frame queue. Producers (`respond`)
+/// push under the queue's own lock — *not* the registry stripe, which they
+/// release before touching the queue — and the owning shard pops into the
+/// connection's [`FrameWriteBuf`].
 ///
 /// The `closed` latch is what makes that safe: `close_conn` sets it (and
 /// drains the backlog) under this lock after deregistering the handle, so
@@ -653,44 +558,24 @@ impl ShardHandle {
     }
 }
 
-/// How frames reach a connection's socket: through its writer thread's
-/// queue (threaded plane) or its shard's outbound queue (epoll plane).
-enum ConnRoute {
-    Threaded {
-        tx: mpsc::SyncSender<Frame>,
-        /// Clone of the connection's stream, used only to `shutdown` it —
-        /// the kick that unblocks a reader/writer thread parked in a
-        /// blocking syscall. The epoll route needs no such clone (its
-        /// shard closes the one real socket), which keeps the server at
-        /// one fd per connection — the difference between 10k and 20k
-        /// descriptors at storm scale.
-        stream: TcpStream,
-    },
-    Epoll {
-        outbound: Arc<Outbound>,
-        shard: Arc<ShardHandle>,
-    },
-}
-
+/// A registered connection's public face: how frames reach its socket
+/// (its outbound queue, drained by its owning shard) and how to doom it.
+/// Only the shard holds the socket, so a connection costs the server one
+/// fd — what keeps 10k connections inside a 20k-descriptor rlimit.
 struct ConnHandle {
     conn_id: u64,
-    route: ConnRoute,
+    outbound: Arc<Outbound>,
+    shard: Arc<ShardHandle>,
     doomed: Arc<AtomicBool>,
 }
 
 impl ConnHandle {
-    /// Kill this connection: the reader/writer pair (threaded, kicked by
-    /// a socket shutdown) or the owning shard (epoll, kicked by a waker
-    /// notification) notices and closes it. Returns true only for the
+    /// Kill this connection: the owning shard, kicked by a waker
+    /// notification, notices and closes it. Returns true only for the
     /// transition (so dooming is counted once per connection).
     fn doom(&self) -> bool {
         let first = !self.doomed.swap(true, Ordering::SeqCst);
-        match &self.route {
-            ConnRoute::Threaded { stream, .. } => {
-                let _ = stream.shutdown(Shutdown::Both);
-            }
-            ConnRoute::Epoll { shard, .. } => shard.notify(self.conn_id),
-        }
+        self.shard.notify(self.conn_id);
         first
     }
 }
@@ -778,7 +663,7 @@ struct Shared {
     failed: AtomicU64,
     outstanding: AtomicU64,
     reallocations: AtomicU64,
-    /// Response frames enqueued on writer queues and not yet written;
+    /// Response frames enqueued on outbound queues and not yet written;
     /// drain flushes this to zero before closing sockets.
     queued_frames: AtomicU64,
     reaped_idle: AtomicU64,
@@ -799,9 +684,6 @@ struct Shared {
     /// under one stripe (never a process-global lock) and never holds the
     /// stripe across a socket/queue write. See [`StripedMap`].
     conns: StripedMap<ConnHandle>,
-    /// Reader + writer thread handles; finished ones are joined by the
-    /// timer thread so reaped connections don't leak threads.
-    conn_threads: Mutex<Vec<std::thread::JoinHandle<()>>>,
 }
 
 impl Shared {
@@ -832,27 +714,17 @@ impl Shared {
     /// workers nor executor workers can ever block on a slow client.
     ///
     /// Locking discipline: the registry stripe is held only long enough to
-    /// clone the route's cheap ends (a channel sender, two `Arc`s); the
-    /// actual queue push happens **after the stripe is released**, so a
-    /// responder never holds any registry lock across a socket/queue
-    /// write. The close race this reopens on the epoll plane — a shard
-    /// tearing the connection down between our lookup and our push — is
-    /// handled by the outbound queue's own `closed` latch (see
-    /// [`Outbound`]).
+    /// clone the route's cheap ends (two `Arc`s); the actual queue push
+    /// happens **after the stripe is released**, so a responder never
+    /// holds any registry lock across a queue write. The close race this
+    /// reopens — a shard tearing the connection down between our lookup
+    /// and our push — is handled by the outbound queue's own `closed`
+    /// latch (see [`Outbound`]).
     fn respond(&self, conn_id: u64, frame: &Frame) {
-        enum Route {
-            Threaded(mpsc::SyncSender<Frame>),
-            Epoll(Arc<Outbound>, Arc<ShardHandle>),
-        }
         let route = self.conns.with(conn_id, |handle| {
-            handle.map(|h| match &h.route {
-                ConnRoute::Threaded { tx, .. } => Route::Threaded(tx.clone()),
-                ConnRoute::Epoll { outbound, shard } => {
-                    Route::Epoll(Arc::clone(outbound), Arc::clone(shard))
-                }
-            })
+            handle.map(|h| (Arc::clone(&h.outbound), Arc::clone(&h.shard)))
         });
-        let Some(route) = route else {
+        let Some((outbound, shard)) = route else {
             self.dropped_responses.fetch_add(1, Ordering::Relaxed);
             return;
         };
@@ -860,56 +732,35 @@ impl Shared {
         // after handling, so incrementing afterwards could race the counter
         // below zero (u64 wrap) and wedge drain's flush wait.
         self.queued_frames.fetch_add(1, Ordering::SeqCst);
-        match route {
-            Route::Threaded(tx) => match tx.try_send(frame.clone()) {
-                Ok(()) => {}
-                Err(mpsc::TrySendError::Full(_)) => {
-                    self.queued_frames.fetch_sub(1, Ordering::SeqCst);
-                    self.dropped_responses.fetch_add(1, Ordering::Relaxed);
-                    self.doom_conn(conn_id);
-                }
-                Err(mpsc::TrySendError::Disconnected(_)) => {
-                    // The writer is gone (reader removed the handle after
-                    // our lookup); it drained the queue before exiting, so
-                    // only this undelivered frame needs balancing.
-                    self.queued_frames.fetch_sub(1, Ordering::SeqCst);
-                    self.dropped_responses.fetch_add(1, Ordering::Relaxed);
-                }
-            },
-            Route::Epoll(outbound, shard) => {
-                enum Push {
-                    Queued,
-                    Overflowed,
-                    Closed,
-                }
-                let outcome = {
-                    let mut queue = outbound.queue.lock();
-                    if queue.closed {
-                        Push::Closed
-                    } else if queue.frames.len() >= outbound.capacity {
-                        Push::Overflowed
-                    } else {
-                        queue.frames.push_back(frame.clone());
-                        Push::Queued
-                    }
-                };
-                match outcome {
-                    Push::Queued => shard.notify(conn_id),
-                    Push::Overflowed => {
-                        // Same bounded-queue/doom contract as the threaded
-                        // plane's sync_channel.
-                        self.queued_frames.fetch_sub(1, Ordering::SeqCst);
-                        self.dropped_responses.fetch_add(1, Ordering::Relaxed);
-                        self.doom_conn(conn_id);
-                    }
-                    Push::Closed => {
-                        // close_conn won between our stripe lookup and this
-                        // push; it already drained the backlog, so balance
-                        // our own frame and move on.
-                        self.queued_frames.fetch_sub(1, Ordering::SeqCst);
-                        self.dropped_responses.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
+        enum Push {
+            Queued,
+            Overflowed,
+            Closed,
+        }
+        let outcome = {
+            let mut queue = outbound.queue.lock();
+            if queue.closed {
+                Push::Closed
+            } else if queue.frames.len() >= outbound.capacity {
+                Push::Overflowed
+            } else {
+                queue.frames.push_back(frame.clone());
+                Push::Queued
+            }
+        };
+        match outcome {
+            Push::Queued => shard.notify(conn_id),
+            Push::Overflowed => {
+                self.queued_frames.fetch_sub(1, Ordering::SeqCst);
+                self.dropped_responses.fetch_add(1, Ordering::Relaxed);
+                self.doom_conn(conn_id);
+            }
+            Push::Closed => {
+                // close_conn won between our stripe lookup and this push;
+                // it already drained the backlog, so balance our own frame
+                // and move on.
+                self.queued_frames.fetch_sub(1, Ordering::SeqCst);
+                self.dropped_responses.fetch_add(1, Ordering::Relaxed);
             }
         }
     }
@@ -922,21 +773,6 @@ impl Shared {
         let first = self.conns.with(conn_id, |h| h.map(ConnHandle::doom));
         if first == Some(true) {
             self.slow_disconnects.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Join every connection thread that has already exited (reaped or
-    /// disconnected); live ones stay. Called by the timer so reader/writer
-    /// threads are reclaimed within roughly one tick of finishing.
-    fn join_finished_conn_threads(&self) {
-        let mut registry = self.conn_threads.lock();
-        let handles = std::mem::take(&mut *registry);
-        for handle in handles {
-            if handle.is_finished() {
-                let _ = handle.join();
-            } else {
-                registry.push(handle);
-            }
         }
     }
 }
@@ -952,15 +788,13 @@ pub struct Server {
     shared: Arc<Shared>,
     local_addr: SocketAddr,
     drain_timeout: Duration,
-    front_door: FrontDoor,
     dispatch_workers: usize,
     /// The supervision tree owning every long-lived serving thread —
     /// acceptor, epoll shards, dispatch workers, timer, coordinator, and
     /// executor flushers all live in its registry (their `JoinHandle`s
     /// are the supervisor's, not the server's).
     supervisor: Supervisor,
-    /// Epoll plane only: one handle per shard (empty on the threaded
-    /// plane).
+    /// One handle per epoll shard.
     shard_handles: Vec<Arc<ShardHandle>>,
     /// One executor pool per tenant (its own per-instance clocks).
     executors: Vec<Arc<Executor>>,
@@ -1074,7 +908,6 @@ impl Server {
             unknown_tenants: AtomicU64::new(0),
             regrants: Mutex::new(Vec::new()),
             conns: StripedMap::new(config.resolved_conn_stripes()),
-            conn_threads: Mutex::new(Vec::new()),
         });
 
         // The supervision tree every long-lived serving thread spawns
@@ -1172,7 +1005,7 @@ impl Server {
             // single-tenant server without a coordinator. Multi-tenant:
             // either the coordinator is the sole apply_allocation caller,
             // or (static partition) nobody reallocates at all — the timer
-            // health-ticks and reaps connection threads either way.
+            // health-ticks either way.
             // Restartable: the loop body is stateless between ticks, so a
             // respawned timer resumes health ticks within one interval.
             let reallocate = !coordinate && shared.tenants.len() == 1;
@@ -1196,46 +1029,40 @@ impl Server {
             });
         }
 
-        // Epoll plane: spawn the shard event loops before accepting, so
-        // the acceptor always has somewhere to hand a socket. A shard owns
-        // live connection state machines that cannot be re-attached, so
-        // its policy is Escalate; the epoll instance is taken by the first
-        // (and only) incarnation.
-        let shard_handles = match config.front_door {
-            FrontDoor::Threaded => Vec::new(),
-            FrontDoor::Epoll { shards } => {
-                let n = shards.max(1);
-                let mut handles = Vec::with_capacity(n);
-                for i in 0..n {
-                    let epoll = Epoll::new()?;
-                    let waker = Waker::new(&epoll)?;
-                    let handle = Arc::new(ShardHandle {
-                        waker,
-                        dirty: Mutex::new(Vec::new()),
-                        incoming: Mutex::new(Vec::new()),
-                    });
-                    let shard_cfg = ShardConfig {
-                        tick: config.read_timeout,
-                        idle_timeout: config.idle_timeout,
-                        write_timeout: config.write_timeout,
-                        frame_error_budget: config.frame_error_budget,
-                        server_chaos: config.server_chaos,
-                    };
-                    let shared = Arc::clone(&shared);
-                    let handle2 = Arc::clone(&handle);
-                    let cell = Mutex::new(Some(epoll));
-                    supervisor.supervise(&format!("shard-{i}"), RestartPolicy::Escalate, {
-                        move |ctx| {
-                            if let Some(epoll) = cell.lock().take() {
-                                shard_loop(&shared, &handle2, &epoll, &shard_cfg, ctx);
-                            }
-                        }
-                    });
-                    handles.push(handle);
+        // Spawn the shard event loops before accepting, so the acceptor
+        // always has somewhere to hand a socket. A shard owns live
+        // connection state machines that cannot be re-attached, so its
+        // policy is Escalate; the epoll instance is taken by the first (and
+        // only) incarnation.
+        let shards = config.shards.max(1);
+        let mut shard_handles = Vec::with_capacity(shards);
+        for i in 0..shards {
+            let epoll = Epoll::new()?;
+            let waker = Waker::new(&epoll)?;
+            let handle = Arc::new(ShardHandle {
+                waker,
+                dirty: Mutex::new(Vec::new()),
+                incoming: Mutex::new(Vec::new()),
+            });
+            let shard_cfg = ShardConfig {
+                tick: config.read_timeout,
+                idle_timeout: config.idle_timeout,
+                write_timeout: config.write_timeout,
+                frame_error_budget: config.frame_error_budget,
+                server_chaos: config.server_chaos,
+            };
+            let shared = Arc::clone(&shared);
+            let handle2 = Arc::clone(&handle);
+            let cell = Mutex::new(Some(epoll));
+            supervisor.supervise(&format!("shard-{i}"), RestartPolicy::Escalate, {
+                move |ctx| {
+                    if let Some(epoll) = cell.lock().take() {
+                        shard_loop(&shared, &handle2, &epoll, &shard_cfg, ctx);
+                    }
                 }
-                handles
-            }
-        };
+            });
+            shard_handles.push(handle);
+        }
 
         {
             // The acceptor owns the listener (taken by the only
@@ -1256,17 +1083,11 @@ impl Server {
             shared,
             local_addr,
             drain_timeout: config.drain_timeout,
-            front_door: config.front_door,
             dispatch_workers,
             supervisor,
             shard_handles,
             executors,
         })
-    }
-
-    /// The connection plane this server is running.
-    pub fn front_door(&self) -> FrontDoor {
-        self.front_door
     }
 
     /// The bound address (useful with port 0).
@@ -1352,12 +1173,6 @@ impl Server {
     /// fail-fast conserving drain.
     pub fn is_escalated(&self) -> bool {
         self.supervisor.is_escalated()
-    }
-
-    /// Connection reader/writer threads not yet joined (finished threads
-    /// are reclaimed by the timer within about one tick).
-    pub fn live_conn_threads(&self) -> usize {
-        self.shared.conn_threads.lock().len()
     }
 
     /// Connections reaped for idling past the configured window.
@@ -1464,7 +1279,7 @@ impl Server {
         shared.draining.store(true, Ordering::SeqCst);
 
         // Flush: every admitted request completes, and its response frame
-        // leaves the writer queue for the socket, before anything closes.
+        // leaves its outbound queue for the socket, before anything closes.
         let deadline = Instant::now() + self.drain_timeout;
         while (shared.outstanding.load(Ordering::SeqCst) > 0
             || shared.queued_frames.load(Ordering::SeqCst) > 0)
@@ -1508,19 +1323,6 @@ impl Server {
                 .expect("supervised components joined; executor has one owner");
             panics_recovered += executor.panics_recovered();
             let _occupancy = executor.shutdown();
-        }
-
-        // Close every connection: dropping the handles disconnects the
-        // writer queues (writers drain and exit) and the socket shutdown
-        // unblocks readers.
-        let handles: Vec<ConnHandle> = shared.conns.drain_all();
-        for handle in &handles {
-            handle.doom();
-        }
-        drop(handles);
-        let threads = std::mem::take(&mut *shared.conn_threads.lock());
-        for thread in threads {
-            thread.join().expect("connection thread panicked");
         }
 
         let tenants: Vec<TenantDrainReport> = shared
@@ -1831,8 +1633,6 @@ fn timer_loop(
                 shared.reallocations.fetch_add(1, Ordering::Relaxed);
             }
         }
-        // Reclaim reader/writer threads of reaped or closed connections.
-        shared.join_finished_conn_threads();
     }
 }
 
@@ -1958,17 +1758,10 @@ fn accept_loop(
                 }
                 let conn_id = next_conn_id;
                 next_conn_id += 1;
-                let registered = if shards.is_empty() {
-                    spawn_connection(shared, stream, conn_id, config)
-                } else {
-                    let shard = &shards[(conn_id as usize) % shards.len()];
-                    register_epoll_conn(shared, stream, conn_id, shard, config)
-                };
-                if registered.is_err() {
-                    // Stream clone, thread spawn, or nonblocking setup
-                    // failed: drop the socket.
-                    shared.conns.remove(conn_id);
-                }
+                let shard = &shards[(conn_id as usize) % shards.len()];
+                // A socket that cannot go non-blocking is dropped (closed)
+                // before anything registers it.
+                let _ = register_conn(shared, stream, conn_id, shard, config);
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
                 std::thread::sleep(Duration::from_millis(2));
@@ -1982,7 +1775,7 @@ fn accept_loop(
 /// publish the [`ConnHandle`] (so `respond`/doom work immediately), and
 /// inject it into the shard's adoption queue. The shard wires up chaos
 /// plans and epoll registration when it adopts the connection.
-fn register_epoll_conn(
+fn register_conn(
     shared: &Arc<Shared>,
     stream: TcpStream,
     conn_id: u64,
@@ -2000,10 +1793,8 @@ fn register_epoll_conn(
         conn_id,
         ConnHandle {
             conn_id,
-            route: ConnRoute::Epoll {
-                outbound: Arc::clone(&outbound),
-                shard: Arc::clone(shard),
-            },
+            outbound: Arc::clone(&outbound),
+            shard: Arc::clone(shard),
             doomed: Arc::clone(&doomed),
         },
     );
@@ -2018,293 +1809,11 @@ fn register_epoll_conn(
     Ok(())
 }
 
-/// Register a new connection: one bounded outbound queue, one writer
-/// thread draining it to the socket, one reader thread decoding frames.
-/// Both halves share the connection's negotiated [`WireVersion`] (v1
-/// until a `Hello` upgrades it), and — with server-side chaos enabled —
-/// each half runs behind its own deterministically-scheduled
-/// [`FaultyStream`].
-fn spawn_connection(
-    shared: &Arc<Shared>,
-    stream: TcpStream,
-    conn_id: u64,
-    config: &ServeConfig,
-) -> io::Result<()> {
-    let writer_stream = stream.try_clone()?;
-    let writer_shutdown = stream.try_clone()?;
-    let shutdown_stream = stream.try_clone()?;
-    let (out_tx, out_rx) = mpsc::sync_channel::<Frame>(config.outbound_queue);
-    let doomed = Arc::new(AtomicBool::new(false));
-    // Socket-level timeouts must land on the raw TcpStream before the
-    // halves disappear behind chaos wrappers (`dyn Read`/`dyn Write`).
-    let _ = stream.set_read_timeout(Some(config.read_timeout));
-    let _ = writer_stream.set_write_timeout(Some(config.write_timeout));
-    let negotiated = Arc::new(AtomicU8::new(WireVersion::V1.byte()));
-    shared.conns.insert(
-        conn_id,
-        ConnHandle {
-            conn_id,
-            route: ConnRoute::Threaded {
-                tx: out_tx,
-                stream: shutdown_stream,
-            },
-            doomed: Arc::clone(&doomed),
-        },
-    );
-
-    let (read_half, write_half): (Box<dyn Read + Send>, Box<dyn Write + Send>) =
-        match &config.server_chaos {
-            Some(chaos) => (
-                Box::new(FaultyStream::new(stream, chaos.plan_for(conn_id * 2))),
-                Box::new(FaultyStream::new(
-                    writer_stream,
-                    chaos.plan_for(conn_id * 2 + 1),
-                )),
-            ),
-            None => (Box::new(stream), Box::new(writer_stream)),
-        };
-
-    let writer = {
-        let shared = Arc::clone(shared);
-        let doomed = Arc::clone(&doomed);
-        let negotiated = Arc::clone(&negotiated);
-        std::thread::Builder::new()
-            .name(format!("arlo-conn-{conn_id}-wr"))
-            .spawn(move || {
-                writer_loop(
-                    &shared,
-                    write_half,
-                    &writer_shutdown,
-                    &out_rx,
-                    &doomed,
-                    &negotiated,
-                )
-            })?
-    };
-    let reader = {
-        let shared = Arc::clone(shared);
-        let doomed = Arc::clone(&doomed);
-        let config = ReaderConfig {
-            idle_timeout: config.idle_timeout,
-            frame_error_budget: config.frame_error_budget,
-        };
-        std::thread::Builder::new()
-            .name(format!("arlo-conn-{conn_id}"))
-            .spawn(move || {
-                reader_loop(&shared, read_half, conn_id, &doomed, &negotiated, &config);
-                // Removing the handle drops the queue's long-lived sender;
-                // once any respond-cloned senders drop too, the writer
-                // drains whatever is left (balancing the flush counter per
-                // batch) and exits.
-                if let Some(handle) = shared.conns.remove(conn_id) {
-                    if let ConnRoute::Threaded { stream, .. } = &handle.route {
-                        // Half-close: stop reading; the writer still
-                        // flushes.
-                        let _ = stream.shutdown(Shutdown::Read);
-                    }
-                }
-            })?
-    };
-    shared.conn_threads.lock().extend([writer, reader]);
-    Ok(())
-}
-
-/// Write every buffer in `bufs` to `w`, as few syscalls as the kernel
-/// allows: one gathered `write_vectored` per iteration, advancing past
-/// partially-written slices by hand (std's `write_all_vectored` is
-/// unstable). Kept total: short writes resume mid-buffer, `Interrupted`
-/// retries, and a zero-length write is the `WriteZero` error it is.
-fn write_all_vectored(w: &mut (impl Write + ?Sized), bufs: &[Vec<u8>]) -> io::Result<()> {
-    let mut idx = 0; // first buffer with unwritten bytes
-    let mut offset = 0; // bytes of bufs[idx] already written
-    let mut slices: Vec<IoSlice<'_>> = Vec::with_capacity(bufs.len());
-    while idx < bufs.len() {
-        slices.clear();
-        slices.push(IoSlice::new(&bufs[idx][offset..]));
-        slices.extend(bufs[idx + 1..].iter().map(|b| IoSlice::new(b)));
-        let mut n = match w.write_vectored(&slices) {
-            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
-            Ok(n) => n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e),
-        };
-        while idx < bufs.len() && n >= bufs[idx].len() - offset {
-            n -= bufs[idx].len() - offset;
-            idx += 1;
-            offset = 0;
-        }
-        offset += n;
-    }
-    Ok(())
-}
-
-/// Drain one connection's outbound queue onto its socket. Exits when every
-/// sender is gone (connection removed from the registry) and the queue is
-/// empty. A write failure or timeout dooms the connection; remaining
-/// frames are then discarded (still decrementing the flush counter, so
-/// drain never hangs on a dead client) rather than written to a dead
-/// socket.
-///
-/// Frames encode at the connection's negotiated version into a pool of
-/// **reusable per-slot buffers** (no allocation per frame once the pool
-/// warms up) and leave in one gathered [`write_all_vectored`] call per
-/// coalesced batch. The lone exception is [`Frame::HelloAck`], which
-/// always travels v1-framed: it is the bootstrap dialect's answer, and
-/// may race the version flip it announces.
-fn writer_loop(
-    shared: &Shared,
-    mut sink: Box<dyn Write + Send>,
-    shutdown: &TcpStream,
-    rx: &mpsc::Receiver<Frame>,
-    doomed: &AtomicBool,
-    negotiated: &AtomicU8,
-) {
-    let mut dead = false;
-    let mut pending: Vec<Frame> = Vec::with_capacity(64);
-    let mut bufs: Vec<Vec<u8>> = Vec::new();
-    while let Ok(first) = rx.recv() {
-        // Coalesce everything already queued into one syscall: the shed
-        // path can produce error frames far faster than per-frame writes
-        // can drain them, and without batching that alone would overflow
-        // the bounded queue even with a healthy, fast-reading client.
-        pending.clear();
-        pending.push(first);
-        while pending.len() < 1024 {
-            match rx.try_recv() {
-                Ok(frame) => pending.push(frame),
-                Err(_) => break,
-            }
-        }
-        let batch = pending.len() as u64;
-        if !dead && doomed.load(Ordering::SeqCst) {
-            dead = true;
-        }
-        if !dead {
-            while bufs.len() < pending.len() {
-                bufs.push(Vec::with_capacity(64));
-            }
-            let version = WireVersion::from_byte(negotiated.load(Ordering::SeqCst))
-                .unwrap_or(WireVersion::V1);
-            for (frame, buf) in pending.iter().zip(bufs.iter_mut()) {
-                buf.clear();
-                let frame_version = if matches!(frame, Frame::HelloAck { .. }) {
-                    WireVersion::V1
-                } else {
-                    version
-                };
-                frame.encode_into(frame_version, buf);
-            }
-            match write_all_vectored(&mut *sink, &bufs[..pending.len()]) {
-                Ok(()) => {}
-                Err(e)
-                    if e.kind() == io::ErrorKind::WouldBlock
-                        || e.kind() == io::ErrorKind::TimedOut =>
-                {
-                    // The client stalled a single write past the timeout:
-                    // same fate as overflowing the queue.
-                    if !doomed.swap(true, Ordering::SeqCst) {
-                        shared.slow_disconnects.fetch_add(1, Ordering::Relaxed);
-                    }
-                    let _ = shutdown.shutdown(Shutdown::Both);
-                    dead = true;
-                }
-                Err(_) => {
-                    doomed.store(true, Ordering::SeqCst);
-                    dead = true;
-                }
-            }
-        }
-        shared.queued_frames.fetch_sub(batch, Ordering::SeqCst);
-    }
-}
-
-struct ReaderConfig {
-    idle_timeout: Duration,
-    frame_error_budget: u32,
-}
-
-fn reader_loop(
-    shared: &Shared,
-    mut stream: Box<dyn Read + Send>,
-    conn_id: u64,
-    doomed: &AtomicBool,
-    negotiated: &AtomicU8,
-    config: &ReaderConfig,
-) {
-    let mut frames = FrameReader::new();
-    let mut budget = ErrorBudget::new(config.frame_error_budget);
-    let mut last_activity = Instant::now();
-    loop {
-        // Decode everything already buffered before touching the socket.
-        loop {
-            match frames.next_frame() {
-                Ok(Some(frame)) => {
-                    budget.credit();
-                    if !handle_frame(shared, conn_id, negotiated, &mut budget, &frame) {
-                        return;
-                    }
-                }
-                Ok(None) => break,
-                Err(e) if budget.charge(&e) => {
-                    // Malformed but skippable, and within budget: the bad
-                    // frame's bytes are consumed and the stream continues.
-                    // A checksum mismatch additionally earns the client a
-                    // retryable verdict — the line mangled the frame, so
-                    // the server cannot know which request it carried, but
-                    // it *can* say "resend whatever you have in flight".
-                    if matches!(e, DecodeError::ChecksumMismatch { .. }) {
-                        shared.corrupt_frames.fetch_add(1, Ordering::Relaxed);
-                        shared.respond(
-                            conn_id,
-                            &Frame::Error {
-                                id: CONN_ERROR_ID,
-                                code: ErrorCode::Corrupt,
-                            },
-                        );
-                    }
-                }
-                Err(_) => {
-                    // Budget exhausted or framing lost: typed disconnect.
-                    shared.protocol_disconnects.fetch_add(1, Ordering::Relaxed);
-                    shared.respond(
-                        conn_id,
-                        &Frame::Error {
-                            id: CONN_ERROR_ID,
-                            code: ErrorCode::Protocol,
-                        },
-                    );
-                    return;
-                }
-            }
-        }
-        if shared.shutdown.load(Ordering::SeqCst) || doomed.load(Ordering::SeqCst) {
-            return;
-        }
-        match frames.fill(&mut stream) {
-            Ok(0) => return, // EOF (clean or mid-frame; nothing more comes)
-            Ok(_) => last_activity = Instant::now(),
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                // Poll tick: no bytes. Reap the connection if the client
-                // has been silent past the idle window — this is the
-                // half-open-socket defence; without it this thread would
-                // block forever on a peer that will never speak again.
-                if last_activity.elapsed() >= config.idle_timeout {
-                    shared.reaped_idle.fetch_add(1, Ordering::Relaxed);
-                    return;
-                }
-            }
-            Err(_) => return, // reset or broken pipe
-        }
-    }
-}
-
 /// Per-shard snapshot of the [`ServeConfig`] knobs a shard needs.
 struct ShardConfig {
     /// Poll granularity: how often a sleeping shard wakes to sweep for
-    /// idle, doomed, or write-stalled connections. Reuses `read_timeout`
-    /// — the same knob that paces the threaded reader's poll tick.
+    /// idle, doomed, or write-stalled connections
+    /// ([`ServeConfig::read_timeout`]).
     tick: Duration,
     idle_timeout: Duration,
     write_timeout: Duration,
@@ -2315,7 +1824,6 @@ struct ShardConfig {
 /// One connection's state machine on an epoll shard: the incremental
 /// [`FrameReader`] on the way in, the [`FrameWriteBuf`] fed from the
 /// bounded outbound queue on the way out, plus doom/idle/chaos state.
-/// This is the non-blocking equivalent of a reader+writer thread pair.
 struct FramedConn {
     stream: TcpStream,
     frames: FrameReader,
@@ -2333,16 +1841,14 @@ struct FramedConn {
     /// writes make progress).
     write_blocked_since: Option<Instant>,
     /// Read side finished (EOF, protocol disconnect, idle reap): flush
-    /// the remaining outbound frames, then close — mirroring the threaded
-    /// plane, where the writer drains after the reader exits.
+    /// the remaining outbound frames, then close.
     closing: bool,
 }
 
 impl FramedConn {
     fn adopt(inc: IncomingConn, cfg: &ShardConfig) -> FramedConn {
-        // Chaos plans use the same per-connection derivation as the
-        // threaded plane (reader `conn_id * 2`, writer `conn_id * 2 + 1`),
-        // so a seeded schedule reproduces identically on both front doors.
+        // Per-connection chaos plans: read `conn_id * 2`, write
+        // `conn_id * 2 + 1`, so a seeded schedule reproduces run to run.
         let (read_chaos, write_chaos) = match &cfg.server_chaos {
             Some(chaos) => (
                 Some(NonBlockingChaos::new(chaos.plan_for(inc.conn_id * 2))),
@@ -2600,8 +2106,8 @@ fn drive_conn(
 /// socket (through the chaos plan when armed), repeat — bounded per call
 /// so one firehose connection cannot starve its shard (level-triggered
 /// epoll re-reports leftover readiness). Sets `closing` on EOF, protocol
-/// disconnect, or a hard error; the flush-then-close mirrors the threaded
-/// plane, where the writer drains after the reader exits.
+/// disconnect, or a hard error, so queued responses still flush before the
+/// connection closes.
 fn drive_read(shared: &Shared, conn: &mut FramedConn, conn_id: u64) {
     let mut fills = 0;
     loop {
@@ -2616,7 +2122,12 @@ fn drive_read(shared: &Shared, conn: &mut FramedConn, conn_id: u64) {
                 }
                 Ok(None) => break,
                 Err(e) if conn.budget.charge(&e) => {
-                    // Same budgeted-resync semantics as reader_loop.
+                    // Malformed but skippable, and within budget: the bad
+                    // frame's bytes are consumed and the stream continues.
+                    // A checksum mismatch additionally earns the client a
+                    // retryable verdict — the line mangled the frame, so
+                    // the server cannot know which request it carried, but
+                    // it *can* say "resend whatever you have in flight".
                     if matches!(e, DecodeError::ChecksumMismatch { .. }) {
                         shared.corrupt_frames.fetch_add(1, Ordering::Relaxed);
                         shared.respond(
@@ -2661,8 +2172,8 @@ fn drive_read(shared: &Shared, conn: &mut FramedConn, conn_id: u64) {
             Ok(_) => conn.last_activity = Instant::now(),
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
             Err(_) => {
-                // Reset or broken pipe: like the threaded reader, stop
-                // reading but still flush queued responses before closing.
+                // Reset or broken pipe: stop reading but still flush
+                // queued responses before closing.
                 conn.closing = true;
                 return;
             }
@@ -2671,10 +2182,13 @@ fn drive_read(shared: &Shared, conn: &mut FramedConn, conn_id: u64) {
 }
 
 /// Non-blocking write pump: refill the [`FrameWriteBuf`] from the bounded
-/// outbound queue (≤1024-frame coalescing, HelloAck pinned v1 — both as on
-/// the threaded plane), write until empty or blocked. Returns `false` when
-/// the connection doomed itself (write stall past the timeout, or a hard
-/// error).
+/// outbound queue, write until empty or blocked. Up to 1024 queued frames
+/// coalesce into one write — the shed path can produce error frames far
+/// faster than per-frame writes drain them. Frames encode at the
+/// negotiated version, except [`Frame::HelloAck`], which always travels
+/// v1-framed: it is the bootstrap dialect's answer, and may race the
+/// version flip it announces. Returns `false` when the connection doomed
+/// itself (write stall past the timeout, or a hard error).
 fn drive_write(shared: &Shared, conn: &mut FramedConn, cfg: &ShardConfig) -> bool {
     loop {
         if conn.wbuf.is_empty() {
@@ -2936,9 +2450,9 @@ fn handle_frame(
         Frame::Hello { max_version } => {
             // Version negotiation: agree on the best common version, flip
             // the connection to it, and ack. The ack itself always leaves
-            // v1-framed (the writer pins HelloAck to the bootstrap
+            // v1-framed (the shard pins HelloAck to the bootstrap
             // dialect), so the client decodes it regardless of when the
-            // writer observes the flip.
+            // shard observes the flip.
             let agreed = WireVersion::negotiate(max_version);
             negotiated.store(agreed.byte(), Ordering::SeqCst);
             if agreed >= WireVersion::V2 {
@@ -3019,29 +2533,5 @@ mod tests {
         assert_eq!(refusal_code(10, 512), ErrorCode::Shed);
         assert_eq!(refusal_code(512, 512), ErrorCode::Shed);
         assert_eq!(refusal_code(513, 512), ErrorCode::Unserviceable);
-    }
-
-    // --- Front-door selection ---
-
-    #[test]
-    fn front_door_parses() {
-        assert_eq!(FrontDoor::parse("threaded"), Some(FrontDoor::Threaded));
-        assert_eq!(
-            FrontDoor::parse("epoll"),
-            Some(FrontDoor::Epoll {
-                shards: FrontDoor::DEFAULT_EPOLL_SHARDS
-            })
-        );
-        assert_eq!(
-            FrontDoor::parse("epoll:4"),
-            Some(FrontDoor::Epoll { shards: 4 })
-        );
-        // Zero shards is nonsense; clamp rather than divide by zero later.
-        assert_eq!(
-            FrontDoor::parse("epoll:0"),
-            Some(FrontDoor::Epoll { shards: 1 })
-        );
-        assert_eq!(FrontDoor::parse("kqueue"), None);
-        assert_eq!(FrontDoor::parse("epoll:x"), None);
     }
 }

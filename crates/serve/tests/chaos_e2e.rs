@@ -4,9 +4,8 @@
 //! Seven properties, each the regression test for one hardening layer:
 //!
 //! 1. **Idle reaping** — a connection that never speaks is closed after
-//!    the idle window and its reader/writer threads are *joined*, not
-//!    leaked (the pre-hardening server blocked forever in `read_frame` on
-//!    half-open sockets).
+//!    the idle window and deregistered, not leaked (the pre-hardening
+//!    server blocked forever in `read_frame` on half-open sockets).
 //! 2. **Slow-client isolation** — one client that stops reading
 //!    mid-response-stream is doomed with a bounded delay while healthy
 //!    connections' latencies stay within 2× of the same load without the
@@ -40,7 +39,7 @@ use arlo_serve::loadgen::{
     chaos_replay, replay, ChaosReplayConfig, LoadGenConfig, LoadGenReport, ProtocolMode,
 };
 use arlo_serve::protocol::{read_frame, Frame, WireVersion, DEFAULT_TENANT};
-use arlo_serve::server::{DrainReport, FrontDoor, ServeConfig, Server};
+use arlo_serve::server::{DrainReport, ServeConfig, Server};
 use arlo_trace::workload::TraceSpec;
 use arlo_trace::NANOS_PER_SEC;
 use rand::rngs::StdRng;
@@ -70,10 +69,6 @@ fn config() -> ServeConfig {
         tick_interval: NANOS_PER_SEC / 5,
         drain_timeout: Duration::from_secs(30),
         batch: BatchPolicy::greedy(BatchSpec::SINGLE),
-        // Both suites run against both connection planes: plain `cargo
-        // test` exercises the threaded default, and CI's serve-epoll job
-        // re-runs them with ARLO_FRONT_DOOR=epoll.
-        front_door: FrontDoor::from_env(),
         ..ServeConfig::new(GPUS)
     }
 }
@@ -91,7 +86,7 @@ fn eventually(within: Duration, mut cond: impl FnMut() -> bool) -> bool {
 }
 
 #[test]
-fn idle_connections_are_reaped_and_their_threads_joined() {
+fn idle_connections_are_reaped_and_deregistered() {
     let mut cfg = config();
     cfg.read_timeout = Duration::from_millis(25);
     cfg.idle_timeout = Duration::from_millis(250);
@@ -114,15 +109,16 @@ fn idle_connections_are_reaped_and_their_threads_joined() {
         server.reaped_idle(),
         server.active_connections()
     );
-    // …and the regression claim: their reader *and* writer threads are
-    // joined by the timer, not leaked. Pre-hardening, readers blocked
-    // forever in `read_frame` and drain hung on the join.
+    // …and the regression claim: their shard closes and deregisters them
+    // rather than leaking them. Pre-hardening, a silent peer held its
+    // connection open forever and drain hung on it.
     assert!(
-        eventually(Duration::from_secs(5), || server.live_conn_threads() == 0),
-        "connection threads leaked after reaping: {}",
-        server.live_conn_threads()
+        eventually(Duration::from_secs(5), || server.active_connections() == 0),
+        "connections leaked after reaping: {} active, {} reaped",
+        server.active_connections(),
+        server.reaped_idle()
     );
-    assert_eq!(server.active_connections(), 0);
+    assert_eq!(server.reaped_idle(), 2);
     drop(held);
     drop(held2);
 
@@ -144,14 +140,14 @@ fn run_mix(stall: bool) -> (LoadGenReport, DrainReport, u64) {
     // Sized so the stalled client's answer backlog (17 B/error frame)
     // exceeds what the kernel can absorb for a never-reading peer (sndbuf
     // autotunes to at most 4 MB here, rcvbuf stays at its 128 KB initial
-    // without reads, ~250k frames together), guaranteeing the writer
-    // blocks and the bounded queue fills.
+    // without reads, ~250k frames together), guaranteeing the shard's
+    // writes block and the bounded queue fills.
     const BULK: u64 = 400_000;
     let mut cfg = config();
-    // Big enough that transient writer hiccups never overflow it for a
+    // Big enough that transient write hiccups never overflow it for a
     // reading client; small enough that a stalled client's backlog (200k
-    // frames ≫ queue + kernel buffers) overflows it once its writer
-    // blocks on the dead socket.
+    // frames ≫ queue + kernel buffers) overflows it once its writes
+    // block on the dead socket.
     cfg.outbound_queue = 16 * 1024;
     cfg.write_timeout = Duration::from_millis(150);
     let server = Server::spawn(engine(), "127.0.0.1:0", cfg).expect("bind loopback");

@@ -1,7 +1,7 @@
 //! End-to-end serving over real loopback sockets.
 //!
 //! The big test drives 10k+ requests from four open-loop clients through
-//! the full stack — wire protocol, reader threads, bounded dispatch,
+//! the full stack — wire protocol, epoll shards, bounded dispatch,
 //! executor pool, engine health hooks, the timer-driven Runtime Scheduler
 //! — at 100× virtual time, then drains. It asserts the properties the
 //! stack exists to provide: every request answered exactly once, at least
@@ -18,7 +18,7 @@ use arlo_serve::loadgen::{replay, LoadGenConfig, ProtocolMode};
 use arlo_serve::protocol::{
     client_handshake, read_frame, ErrorCode, Frame, Sub, WireVersion, DEFAULT_TENANT,
 };
-use arlo_serve::server::{FrontDoor, ServeConfig, Server};
+use arlo_serve::server::{ServeConfig, Server};
 use arlo_trace::workload::TraceSpec;
 use arlo_trace::NANOS_PER_SEC;
 use rand::rngs::StdRng;
@@ -53,10 +53,6 @@ fn config() -> ServeConfig {
         tick_interval: NANOS_PER_SEC / 5,
         drain_timeout: Duration::from_secs(30),
         batch: BatchPolicy::greedy(BatchSpec::SINGLE),
-        // Both suites run against both connection planes: plain `cargo
-        // test` exercises the threaded default, and CI's serve-epoll job
-        // re-runs them with ARLO_FRONT_DOOR=epoll.
-        front_door: FrontDoor::from_env(),
         ..ServeConfig::new(GPUS)
     }
 }

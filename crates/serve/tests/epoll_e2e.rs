@@ -1,13 +1,7 @@
-//! End-to-end tests pinned to the epoll front door (plus the acceptor
-//! regression, which runs on both planes).
-//!
-//! `chaos_e2e` and `e2e_loopback` exercise whichever plane
-//! `ARLO_FRONT_DOOR` selects; this suite instead *hard-codes*
-//! [`FrontDoor::Epoll`] for the hazards whose mechanics changed most in
-//! the move off per-connection threads — idle reaping and
-//! doom-on-overflow are now sweep- and readiness-driven instead of
-//! thread-timeout-driven, so they get their own regressions on the new
-//! path regardless of how the shared suites are launched.
+//! End-to-end tests of the epoll event-loop mechanics: idle reaping and
+//! doom-on-overflow are sweep- and readiness-driven, so they get their own
+//! regressions here, alongside the acceptor's refusal-wave regression and
+//! a smoke-scale connection storm.
 
 use arlo_core::engine::{ArloEngine, EngineConfig};
 use arlo_runtime::batching::{BatchPolicy, BatchSpec};
@@ -16,7 +10,7 @@ use arlo_runtime::profile::profile_runtimes;
 use arlo_runtime::runtime_set::RuntimeSet;
 use arlo_serve::loadgen::{connection_storm, StormConfig};
 use arlo_serve::protocol::{read_frame, ErrorCode, Frame, CONN_ERROR_ID, DEFAULT_TENANT};
-use arlo_serve::server::{FrontDoor, ServeConfig, Server};
+use arlo_serve::server::{ServeConfig, Server};
 use arlo_trace::NANOS_PER_SEC;
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
@@ -35,14 +29,13 @@ fn engine() -> ArloEngine {
     ArloEngine::new(profiles, counts, cfg)
 }
 
-fn config(front_door: FrontDoor) -> ServeConfig {
+fn config() -> ServeConfig {
     ServeConfig {
         time_scale: SCALE,
         queue_capacity: 8192,
         tick_interval: NANOS_PER_SEC / 5,
         drain_timeout: Duration::from_secs(30),
         batch: BatchPolicy::greedy(BatchSpec::SINGLE),
-        front_door,
         ..ServeConfig::new(GPUS)
     }
 }
@@ -59,13 +52,11 @@ fn eventually(within: Duration, mut cond: impl FnMut() -> bool) -> bool {
     cond()
 }
 
-/// Port of the half-open-socket defence to the event loop: silent
-/// connections are reaped by the shard *sweep* (there is no per-connection
-/// reader thread to time out any more), and the epoll plane never
-/// registers connection threads at all.
+/// The half-open-socket defence on the event loop: silent connections are
+/// reaped by the shard *sweep* — no thread blocks on a silent peer.
 #[test]
 fn idle_connections_are_reaped_on_the_event_loop() {
-    let mut cfg = config(FrontDoor::epoll());
+    let mut cfg = config();
     cfg.read_timeout = Duration::from_millis(25);
     cfg.idle_timeout = Duration::from_millis(250);
     let server = Server::spawn(engine(), "127.0.0.1:0", cfg).expect("bind loopback");
@@ -77,8 +68,6 @@ fn idle_connections_are_reaped_on_the_event_loop() {
         eventually(Duration::from_secs(2), || server.active_connections() == 2),
         "connections never registered"
     );
-    // No reader/writer pairs exist on this plane — ever.
-    assert_eq!(server.live_conn_threads(), 0);
 
     assert!(
         eventually(Duration::from_secs(5), || server.reaped_idle() >= 2),
@@ -103,7 +92,7 @@ fn idle_connections_are_reaped_on_the_event_loop() {
 /// shard — without wedging the event loop for anyone else.
 #[test]
 fn stalled_client_is_doomed_on_the_event_loop() {
-    let mut cfg = config(FrontDoor::epoll());
+    let mut cfg = config();
     // Tiny outbound bound + tight write timeout: the stall is detected by
     // queue overflow (respond-side) or a blocked socket write (shard-side)
     // — both must count exactly one slow disconnect.
@@ -159,14 +148,14 @@ fn stalled_client_is_doomed_on_the_event_loop() {
     assert_eq!(drain.outstanding_at_close, 0, "{drain:?}");
 }
 
-/// The acceptor regression (both planes): admission refusals are
-/// fire-and-forget. A wave of refused connectors that never read — the
+/// The acceptor regression: admission refusals are fire-and-forget. A wave of refused connectors that never read — the
 /// peers that used to hold the acceptor hostage for a 1-second write
 /// timeout each — must neither delay admission of a healthy connection
 /// nor lose their typed refusal frame.
-fn refusals_never_stall_the_acceptor(front_door: FrontDoor) {
+#[test]
+fn refusals_never_stall_the_epoll_acceptor() {
     const WAVE: usize = 20;
-    let mut cfg = config(front_door);
+    let mut cfg = config();
     cfg.max_conns = 1;
     let server = Server::spawn(engine(), "127.0.0.1:0", cfg).expect("bind loopback");
     let addr = server.local_addr();
@@ -249,23 +238,13 @@ fn refusals_never_stall_the_acceptor(front_door: FrontDoor) {
     assert_eq!(drain.outstanding_at_close, 0, "{drain:?}");
 }
 
-#[test]
-fn refusals_never_stall_the_threaded_acceptor() {
-    refusals_never_stall_the_acceptor(FrontDoor::Threaded);
-}
-
-#[test]
-fn refusals_never_stall_the_epoll_acceptor() {
-    refusals_never_stall_the_acceptor(FrontDoor::epoll());
-}
-
 /// Smoke-scale run of the benchmark's connection-scaling cell: a few
-/// hundred concurrent connections held by the epoll client pool against
-/// the epoll front door, every submit conserved, nothing lost.
+/// hundred concurrent connections held by the epoll client pool, every
+/// submit conserved, nothing lost.
 #[test]
 fn connection_storm_conserves_at_smoke_scale() {
     const CONNS: usize = 400;
-    let mut cfg = config(FrontDoor::epoll());
+    let mut cfg = config();
     cfg.max_conns = CONNS + 64;
     cfg.idle_timeout = Duration::from_secs(60);
     let server = Server::spawn(engine(), "127.0.0.1:0", cfg).expect("bind loopback");

@@ -3,8 +3,7 @@
 //! shape (multi-worker dispatch, striped registry, sharded executor
 //! state) must produce identical serving outcomes — every submit answered,
 //! exact conservation on both sides of the wire, nothing shed under
-//! non-overload. Runs on whichever connection plane `ARLO_FRONT_DOOR`
-//! selects, so CI covers both.
+//! non-overload.
 //!
 //! This is the default-test-run companion to the `ext_hotpath` benchmark:
 //! small enough to live in `cargo test`, but it exercises the identical
@@ -17,7 +16,7 @@ use arlo_runtime::models::ModelSpec;
 use arlo_runtime::profile::profile_runtimes;
 use arlo_runtime::runtime_set::RuntimeSet;
 use arlo_serve::loadgen::{connection_storm, StormConfig, StormReport};
-use arlo_serve::server::{DrainReport, FrontDoor, ServeConfig, Server};
+use arlo_serve::server::{DrainReport, ServeConfig, Server};
 use arlo_trace::NANOS_PER_SEC;
 use std::time::{Duration, Instant};
 
@@ -48,7 +47,6 @@ fn config(dispatch_workers: usize, conn_stripes: usize, executor_shards: usize) 
         tick_interval: NANOS_PER_SEC,
         drain_timeout: Duration::from_secs(60),
         batch: BatchPolicy::greedy(BatchSpec::SINGLE),
-        front_door: FrontDoor::from_env(),
         ..ServeConfig::new(GPUS)
     };
     cfg.with_dispatch_workers(dispatch_workers)

@@ -2,7 +2,7 @@
 //!
 //! Every long-lived server thread runs as a supervised component; these
 //! tests inject deterministic panics and stalls into named components
-//! (timer, dispatch workers, flusher, epoll shards) through a real front
+//! (timer, dispatch workers, flusher, epoll shards) through the real front
 //! door under real client load, and assert the two properties the
 //! supervision tree exists for:
 //!
@@ -15,8 +15,9 @@
 //!    exactly equal to everything submitted, on both sides of the wire.
 //!
 //! The first test pins the *pre-supervision* failure mode (chaos with the
-//! monitor disabled): a dead timer silently stops reaping connection
-//! threads forever, and nothing records that anything went wrong.
+//! monitor disabled): a dead timer silently stops the Runtime Scheduler's
+//! periodic reallocation forever, and nothing records that anything went
+//! wrong.
 
 use arlo_core::engine::{ArloEngine, EngineConfig};
 use arlo_runtime::batching::{BatchPolicy, BatchSpec};
@@ -26,7 +27,7 @@ use arlo_runtime::runtime_set::RuntimeSet;
 use arlo_serve::chaos::ComponentChaos;
 use arlo_serve::loadgen::{connection_storm, replay, LoadGenConfig, StormConfig};
 use arlo_serve::protocol::{read_frame, Frame, WireVersion};
-use arlo_serve::server::{DrainReport, FrontDoor, ServeConfig, Server};
+use arlo_serve::server::{DrainReport, ServeConfig, Server};
 use arlo_serve::supervisor::SupervisorEventKind;
 use arlo_trace::workload::TraceSpec;
 use arlo_trace::NANOS_PER_SEC;
@@ -55,7 +56,6 @@ fn config(gpus: u32, time_scale: u32) -> ServeConfig {
         tick_interval: NANOS_PER_SEC / 5,
         drain_timeout: Duration::from_secs(30),
         batch: BatchPolicy::greedy(BatchSpec::SINGLE),
-        front_door: FrontDoor::from_env(),
         ..ServeConfig::new(gpus)
     }
     .with_restart_policy(Duration::from_millis(1), 10_000)
@@ -87,49 +87,78 @@ fn wait_for(what: &str, mut cond: impl FnMut() -> bool) {
     }
 }
 
-/// One connection-thread pair left behind by a closed connection: connect,
-/// submit once, read the answer, hang up.
-fn touch_and_close(addr: std::net::SocketAddr) {
+/// An engine whose deployment the Runtime Scheduler reshapes as soon as
+/// it sees short requests: every GPU on the largest runtime, and a
+/// one-virtual-second decision period (10 ms real at 100×), so the
+/// single-tenant timer — the only caller of `maybe_reallocate` — applies
+/// a plan within a few ticks of live demand.
+fn reallocating_engine(gpus: u32) -> ArloEngine {
+    let family = RuntimeSet::natural(ModelSpec::bert_base());
+    let profiles = profile_runtimes(&family.compile(), SLO_MS, 512);
+    let mut counts = vec![0u32; profiles.len()];
+    *counts.last_mut().expect("non-empty") = gpus;
+    let mut cfg = EngineConfig::paper_default(SLO_MS);
+    cfg.allocation_period = NANOS_PER_SEC;
+    cfg.sub_window = NANOS_PER_SEC / 4;
+    ArloEngine::new(profiles, counts, cfg)
+}
+
+/// Keep short requests flowing over one connection, one at a time, for
+/// `span` of real time or until `done` holds; returns whether it held.
+/// This is the demand the timer's reallocation decisions are made from.
+fn submit_until(
+    addr: std::net::SocketAddr,
+    span: Duration,
+    mut done: impl FnMut() -> bool,
+) -> bool {
     let mut conn = TcpStream::connect(addr).expect("connect");
     conn.set_read_timeout(Some(Duration::from_secs(10)))
         .unwrap();
-    Frame::Submit {
-        id: 1,
-        length: 64,
-        tenant: 0,
+    let deadline = Instant::now() + span;
+    for id in 0.. {
+        if done() {
+            return true;
+        }
+        if Instant::now() >= deadline {
+            return false;
+        }
+        Frame::Submit {
+            id,
+            length: 64,
+            tenant: 0,
+        }
+        .write_to(&mut conn)
+        .expect("submit");
+        let frame = read_frame(&mut conn).expect("read").expect("frame");
+        assert!(matches!(frame, Frame::Response { .. }), "{frame:?}");
     }
-    .write_to(&mut conn)
-    .expect("submit");
-    let frame = read_frame(&mut conn).expect("read").expect("frame");
-    assert!(matches!(frame, Frame::Response { .. }), "{frame:?}");
+    unreachable!("the id space outlasts any test")
 }
 
 /// The pinned pre-supervision failure: with the monitor disabled, a timer
-/// panic silently stops connection-thread reaping *forever* — the exact
-/// wedge the supervision tree exists to close. Chaos panics the timer on
-/// its first beat; a connection then opened and closed leaves its
-/// reader/writer threads unreaped no matter how long we wait, and no
-/// counter anywhere records that the timer died.
+/// panic silently stops the timer's work *forever* — the exact wedge the
+/// supervision tree exists to close. Chaos panics the timer on its first
+/// beat; short requests then flow for thirty decision periods against a
+/// deployment the Runtime Scheduler would reshape (see the supervised
+/// twin below), yet no reallocation is ever applied, and no counter
+/// anywhere records that the timer died.
 #[test]
-fn unsupervised_timer_panic_stops_reaping_forever() {
+fn unsupervised_timer_panic_stops_reallocation_forever() {
     let cfg = config(4, 100)
-        .with_front_door(FrontDoor::Threaded)
         .with_supervision(false)
         .with_component_chaos(ComponentChaos::panics("timer", 1, 7));
-    let server = Server::spawn(engine(4), "127.0.0.1:0", cfg).expect("bind loopback");
+    let server = Server::spawn(reallocating_engine(4), "127.0.0.1:0", cfg).expect("bind loopback");
     // Give the timer time to take (and die on) its first beat.
     std::thread::sleep(Duration::from_millis(50));
 
-    touch_and_close(server.local_addr());
-    wait_for("connection to deregister", || {
-        server.active_connections() == 0
+    // 300 ms real = 30 virtual seconds = 30 decision periods; a live
+    // timer reallocates within a few of them.
+    let reallocated = submit_until(server.local_addr(), Duration::from_millis(300), || {
+        server.reallocations() > 0
     });
-    // Many ticks' worth of real time: a live timer reaps finished conn
-    // threads within about one 2 ms tick. The dead one never does.
-    std::thread::sleep(Duration::from_millis(200));
     assert!(
-        server.live_conn_threads() > 0,
-        "conn threads were reaped — the timer should be dead"
+        !reallocated,
+        "a reallocation was applied — the timer should be dead"
     );
     assert_eq!(
         server.supervisor_restarts(),
@@ -141,28 +170,28 @@ fn unsupervised_timer_panic_stops_reaping_forever() {
         "and nothing is recorded"
     );
 
-    // Drain still completes (it joins conn threads itself) and conserves.
-    assert_server_conserves(&server.drain());
+    let drain = server.drain();
+    assert_eq!(drain.reallocations, 0, "{drain:?}");
+    assert_server_conserves(&drain);
 }
 
 /// The tentpole fix for the wedge above: under supervision the panicked
-/// timer is respawned within one backoff and resumes reaping — the same
-/// observable that stayed wedged forever now goes to zero — and the
-/// structured event log records the panic and the restart.
+/// timer is respawned within one backoff and resumes its work — the same
+/// traffic that never moved the unsupervised server now gets its
+/// deployment reshaped — and the structured event log records the panic
+/// and the restart.
 #[test]
-fn supervised_timer_restarts_and_resumes_reaping() {
+fn supervised_timer_restarts_and_resumes_reallocation() {
     // One beat in 4 panics: the timer keeps dying and keeps coming back,
     // doing real work between deaths.
-    let cfg = config(4, 100)
-        .with_front_door(FrontDoor::Threaded)
-        .with_component_chaos(ComponentChaos::panics("timer", 4, 11));
-    let server = Server::spawn(engine(4), "127.0.0.1:0", cfg).expect("bind loopback");
+    let cfg = config(4, 100).with_component_chaos(ComponentChaos::panics("timer", 4, 11));
+    let server = Server::spawn(reallocating_engine(4), "127.0.0.1:0", cfg).expect("bind loopback");
 
     wait_for("a timer restart", || server.supervisor_restarts() >= 1);
-    touch_and_close(server.local_addr());
-    wait_for("restarted timer to reap conn threads", || {
-        server.live_conn_threads() == 0
+    let reallocated = submit_until(server.local_addr(), Duration::from_secs(10), || {
+        server.reallocations() > 0
     });
+    assert!(reallocated, "restarted timer never reallocated");
 
     let events = server.supervisor_events();
     assert!(
@@ -180,6 +209,7 @@ fn supervised_timer_restarts_and_resumes_reaping() {
     );
     let drain = server.drain();
     assert!(drain.supervisor_restarts >= 1, "{drain:?}");
+    assert!(drain.reallocations >= 1, "{drain:?}");
     assert_server_conserves(&drain);
 }
 
@@ -261,9 +291,11 @@ fn budget_exhaustion_escalates_to_a_clean_conserving_drain() {
 /// conserving drain. Clients on the dead shard see EOF, not silence.
 #[test]
 fn epoll_shard_panic_escalates_and_drains_clean() {
-    let cfg = config(4, 100)
-        .with_front_door(FrontDoor::Epoll { shards: 1 })
-        .with_component_chaos(ComponentChaos::panics("shard", 10, 29));
+    let cfg = ServeConfig {
+        shards: 1,
+        ..config(4, 100)
+    }
+    .with_component_chaos(ComponentChaos::panics("shard", 10, 29));
     let server = Server::spawn(engine(4), "127.0.0.1:0", cfg).expect("bind loopback");
     let addr = server.local_addr();
 
@@ -356,7 +388,6 @@ fn flusher_restart_rebuilds_deadlines_and_loses_nothing() {
 #[test]
 fn stalled_timer_is_detected_not_restarted() {
     let cfg = config(4, 100)
-        .with_front_door(FrontDoor::from_env())
         .with_component_chaos(ComponentChaos::stalls("timer", 2, 100, 41))
         .with_stall_grace(Duration::from_millis(10));
     let server = Server::spawn(engine(4), "127.0.0.1:0", cfg).expect("bind loopback");
@@ -405,12 +436,10 @@ fn v2_window_storm_batches_refills_and_conserves() {
 /// Component chaos against a supervised server under a v2 window storm:
 /// the cross product the resilience bench sweeps, pinned here at its
 /// hairiest single cell — dispatch panics while batched v2 refills are in
-/// flight on the epoll plane — with both conservation laws exact.
+/// flight — with both conservation laws exact.
 #[test]
 fn v2_storm_survives_dispatch_panics_on_the_epoll_plane() {
-    let cfg = config(4, 100)
-        .with_front_door(FrontDoor::Epoll { shards: 2 })
-        .with_component_chaos(ComponentChaos::panics("dispatch", 3, 43));
+    let cfg = config(4, 100).with_component_chaos(ComponentChaos::panics("dispatch", 3, 43));
     let server = Server::spawn(engine(4), "127.0.0.1:0", cfg).expect("bind loopback");
     let storm = StormConfig {
         conns: 16,

@@ -12,7 +12,7 @@
 //! arlo plan        --model bert-base --gpus 10 --rate 1500 --secs 30
 //! arlo profile     --model bert-large [--slo-ms 450]
 //! arlo serve       --model bert-base --gpus 8 [--addr 127.0.0.1:7077] [--time-scale 1]
-//!                  [--front-door threaded|epoll|epoll:N]
+//!                  [--shards 2]
 //! arlo loadgen     --addr 127.0.0.1:7077 --rate 900 --secs 30 [--clients 4] [--drain]
 //! ```
 
@@ -20,7 +20,7 @@ use arlo::prelude::*;
 use arlo::serve::chaos::{ChaosConfig, ComponentChaos, FaultClass};
 use arlo::serve::loadgen::{chaos_replay, replay, ChaosReplayConfig, LoadGenConfig, ProtocolMode};
 use arlo::serve::protocol::Frame;
-use arlo::serve::server::{FrontDoor, ServeConfig, Server};
+use arlo::serve::server::{ServeConfig, Server};
 use arlo::serve::tenants::{parse_mix, SloClass, TenantSpec};
 use arlo::trace::NANOS_PER_SEC;
 use rand::rngs::StdRng;
@@ -34,6 +34,10 @@ fn main() -> ExitCode {
         eprintln!("{USAGE}");
         return ExitCode::FAILURE;
     };
+    if let Err(msg) = check_flags(&command, &flags) {
+        eprintln!("error: {msg}");
+        return ExitCode::FAILURE;
+    }
     let result = match command.as_str() {
         "gen-trace" => cmd_gen_trace(&flags),
         "analyze" => cmd_analyze(&flags),
@@ -72,7 +76,7 @@ USAGE:
   arlo profile    --model <m> [--slo-ms <ms>]
   arlo serve      --model <m> --gpus <n> [--slo-ms <ms>] [--addr <ip:port>]
                   [--time-scale <x>] [--workers <n>] [--period-secs <s>]
-                  [--front-door <threaded|epoll|epoll:N>]
+                  [--shards <n>]
                   [--dispatch-workers <n>] [--conn-stripes <n>] [--executor-shards <n>]
                   [--tenants <name=class[:slo_ms],...>   class: interactive|standard|batch]
                   [--max-batch <n> [--marginal-cost <f>] [--max-wait-ms <ms>]]
@@ -114,6 +118,96 @@ fn parse(args: &[String]) -> Option<(String, Flags)> {
         flags.insert(k, "true".into());
     }
     Some((command, flags))
+}
+
+/// The flags [`build_trace`] reads, on behalf of every command that takes
+/// a trace.
+const TRACE_FLAGS: &[&str] = &["trace", "rate", "secs", "seed", "bursty"];
+
+/// Every flag `command` reads, and whether it also reads [`TRACE_FLAGS`];
+/// `None` for a command this binary does not know.
+fn known_flags(command: &str) -> Option<(&'static [&'static str], bool)> {
+    Some(match command {
+        "gen-trace" => (&["out"], true),
+        "analyze" => (&[], true),
+        "simulate" => (&["scheme", "model", "gpus", "slo-ms", "csv"], true),
+        "compare" | "plan" => (&["model", "gpus", "slo-ms"], true),
+        "profile" => (&["model", "slo-ms"], false),
+        "serve" => (
+            &[
+                "model",
+                "gpus",
+                "slo-ms",
+                "addr",
+                "time-scale",
+                "workers",
+                "period-secs",
+                "shards",
+                "dispatch-workers",
+                "conn-stripes",
+                "executor-shards",
+                "tenants",
+                "max-batch",
+                "marginal-cost",
+                "max-wait-ms",
+                "server-chaos",
+                "server-chaos-intensity",
+                "server-chaos-seed",
+                "restart-backoff-ms",
+                "restart-budget",
+                "stall-grace-ms",
+                "component-chaos",
+                "component-chaos-fault",
+                "component-chaos-one-in",
+                "component-chaos-stall-ms",
+                "component-chaos-seed",
+            ],
+            false,
+        ),
+        "loadgen" => (
+            &[
+                "addr",
+                "clients",
+                "time-scale",
+                "proto",
+                "submit-batch",
+                "tenants",
+                "tenant-mix",
+                "closed",
+                "window",
+                "drain",
+                "chaos",
+                "chaos-intensity",
+                "chaos-seed",
+                "retries",
+            ],
+            true,
+        ),
+        "help" | "--help" | "-h" => (&[], false),
+        _ => return None,
+    })
+}
+
+/// Reject any flag `command` does not read, so a misspelled or retired
+/// flag fails loudly instead of being silently ignored. Unknown commands
+/// pass through to the dispatcher's own error.
+fn check_flags(command: &str, flags: &Flags) -> Result<(), String> {
+    let Some((own, reads_trace)) = known_flags(command) else {
+        return Ok(());
+    };
+    let mut unknown: Vec<&str> = flags
+        .keys()
+        .map(String::as_str)
+        .filter(|k| !(own.contains(k) || (reads_trace && TRACE_FLAGS.contains(k))))
+        .collect();
+    if unknown.is_empty() {
+        return Ok(());
+    }
+    unknown.sort_unstable();
+    Err(format!(
+        "`{command}` does not take --{} (see `arlo help`)",
+        unknown.join(", --")
+    ))
 }
 
 fn req<'a>(flags: &'a Flags, key: &str) -> Result<&'a str, String> {
@@ -455,29 +549,24 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
         batch,
         ..ServeConfig::new(gpus)
     };
-    // Connection plane: --front-door wins, ARLO_FRONT_DOOR is the
-    // fallback, threaded the default.
-    serve_cfg.front_door = match flags.get("front-door") {
-        Some(v) => FrontDoor::parse(v)
-            .ok_or_else(|| format!("unknown --front-door `{v}` (threaded | epoll | epoll:N)"))?,
-        None => FrontDoor::from_env(),
-    };
-    // Hot-path sharding knobs (PR 9). Defaults keep the sharded executor
-    // and auto-sized registry stripes; `--dispatch-workers 1` (the
-    // default) retains the single-dispatch baseline exactly.
+    // Hot-path sharding knobs. Defaults keep the sharded executor and
+    // auto-sized registry stripes; `--dispatch-workers 1` (the default)
+    // retains the single-dispatch baseline exactly.
+    let shards: usize = num_or(flags, "shards", serve_cfg.shards)?;
     let dispatch_workers: usize = num_or(flags, "dispatch-workers", 1)?;
     let conn_stripes: usize = num_or(flags, "conn-stripes", 0)?;
     let executor_shards: usize = num_or(flags, "executor-shards", 8)?;
-    if dispatch_workers == 0 || executor_shards == 0 {
-        return Err("--dispatch-workers and --executor-shards must be >= 1".into());
+    if shards == 0 || dispatch_workers == 0 || executor_shards == 0 {
+        return Err("--shards, --dispatch-workers and --executor-shards must be >= 1".into());
     }
+    serve_cfg.shards = shards;
     serve_cfg = serve_cfg
         .with_dispatch_workers(dispatch_workers)
         .with_conn_stripes(conn_stripes)
         .with_executor_shards(executor_shards);
     if let Some(class_name) = flags.get("server-chaos") {
-        // Test-only: wrap every accepted socket in a seeded FaultyStream so
-        // the server's own error paths can be driven from the CLI.
+        // Test-only: run every accepted socket through a seeded chaos plan
+        // so the server's own error paths can be driven from the CLI.
         let class = FaultClass::parse(class_name).ok_or_else(|| {
             format!("unknown fault class `{class_name}` (delay, partial, corrupt, reset, stall)")
         })?;
@@ -558,10 +647,9 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
     .map_err(|e| format!("bind {addr}: {e}"))?;
     println!(
         "serving {} on {} — {gpus} GPUs, SLO {slo} ms, {time_scale}× virtual time, batch \
-         {max_batch}, {} front door",
+         {max_batch}, {shards} epoll shards",
         model.name,
         server.local_addr(),
-        server.front_door().name()
     );
     println!("(send a Drain frame — e.g. `arlo loadgen --drain` — to stop)");
     while !server.is_draining() {

@@ -43,6 +43,42 @@ fn missing_flags_fail_cleanly() {
 }
 
 #[test]
+fn unknown_flags_fail_and_name_the_flag() {
+    // A retired flag: the connection plane is no longer selectable.
+    let out = arlo()
+        .args(["serve", "--front-door", "epoll"])
+        .output()
+        .expect("spawn");
+    assert!(!out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("--front-door"), "{stderr}");
+
+    // A misspelled optional flag on an otherwise complete command, which
+    // would run to completion if the typo were ignored.
+    let out = arlo()
+        .args([
+            "simulate",
+            "--scheme",
+            "arlo",
+            "--model",
+            "bert-base",
+            "--gpus",
+            "4",
+            "--rate",
+            "100",
+            "--secs",
+            "1",
+            "--slo",
+            "100",
+        ])
+        .output()
+        .expect("spawn");
+    assert!(!out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("--slo"), "{stderr}");
+}
+
+#[test]
 fn profile_prints_the_staircase() {
     let text = stdout_of(arlo().args(["profile", "--model", "bert-base"]));
     assert!(text.contains("staircase step 64 tokens"));

@@ -4,56 +4,16 @@
 
 #![allow(missing_docs)] // criterion_main! generates an undocumented fn
 
-use arlo_runtime::profile::BatchLatencyMap;
+use arlo_bench::table2_instance;
 use arlo_solver::dp::DpSolver;
 use arlo_solver::linear::LinearizedAllocator;
-use arlo_solver::problem::{AllocationProblem, RuntimeInput};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
-
-fn instance(gpus: u32, runtimes: u32) -> AllocationProblem {
-    let slo = 150.0;
-    let inputs: Vec<RuntimeInput> = (1..=runtimes)
-        .map(|i| {
-            let len = (512 * i / runtimes).max(1);
-            let exec = 0.6 + 0.00833 * f64::from(len);
-            let cap = (slo / exec) as u32;
-            RuntimeInput {
-                max_length: len,
-                capacity: cap,
-                demand: 0.0,
-                batch_latency: BatchLatencyMap::from_measurements(
-                    (1..=cap.max(1) as usize)
-                        .map(|b| exec * (b as f64 + 1.0) / 2.0)
-                        .collect(),
-                ),
-            }
-        })
-        .collect();
-    let mut problem = AllocationProblem {
-        gpus,
-        runtimes: inputs,
-    };
-    let shares: Vec<f64> = (0..runtimes)
-        .map(|i| 1.0 / f64::from(i + 1).powi(2))
-        .collect();
-    let share_sum: f64 = shares.iter().sum();
-    let gpu_per_demand: f64 = shares
-        .iter()
-        .zip(&problem.runtimes)
-        .map(|(s, rt)| s / share_sum / f64::from(rt.capacity.max(1)))
-        .sum();
-    let total_demand = f64::from(gpus) * 0.7 / gpu_per_demand;
-    for (share, rt) in shares.iter().zip(problem.runtimes.iter_mut()) {
-        rt.demand = share / share_sum * total_demand;
-    }
-    problem
-}
 
 fn bench_dp(c: &mut Criterion) {
     let mut group = c.benchmark_group("dp_solver");
     for (gpus, runtimes) in [(50u32, 8u32), (200, 12), (1000, 16)] {
-        let problem = instance(gpus, runtimes);
+        let problem = table2_instance(gpus, runtimes);
         group.sample_size(if gpus >= 1000 { 10 } else { 30 });
         group.bench_with_input(
             BenchmarkId::from_parameter(format!("{gpus}gpu_{runtimes}rt")),
@@ -68,7 +28,7 @@ fn bench_milp(c: &mut Criterion) {
     let mut group = c.benchmark_group("linearized_milp");
     group.sample_size(10);
     for (gpus, runtimes) in [(50u32, 8u32), (200, 12)] {
-        let problem = instance(gpus, runtimes);
+        let problem = table2_instance(gpus, runtimes);
         group.bench_with_input(
             BenchmarkId::from_parameter(format!("{gpus}gpu_{runtimes}rt")),
             &problem,

@@ -7,57 +7,10 @@
 //! The linearized MILP on the in-house simplex + branch-and-bound engine is
 //! timed alongside as the generic-solver reference point.
 
-use arlo_bench::{print_table, write_json};
-use arlo_runtime::profile::BatchLatencyMap;
+use arlo_bench::{print_table, table2_instance, write_json};
 use arlo_solver::dp::DpSolver;
 use arlo_solver::linear::LinearizedAllocator;
-use arlo_solver::problem::{AllocationProblem, RuntimeInput};
 use std::time::Instant;
-
-/// A realistic problem instance: Twitter-skewed demand, staircase execution
-/// costs, SLO 150 ms, total demand scaled to ~70% of cluster capacity.
-fn instance(gpus: u32, runtimes: u32) -> AllocationProblem {
-    let slo = 150.0;
-    let inputs: Vec<RuntimeInput> = (1..=runtimes)
-        .map(|i| {
-            let len = 512 * i / runtimes;
-            let exec = 0.6 + 0.00833 * f64::from(len);
-            let cap = (slo / exec) as u32;
-            RuntimeInput {
-                max_length: len.max(1),
-                capacity: cap,
-                demand: 0.0, // filled below
-                batch_latency: BatchLatencyMap::from_measurements(
-                    (1..=cap.max(1) as usize)
-                        .map(|b| exec * (b as f64 + 1.0) / 2.0)
-                        .collect(),
-                ),
-            }
-        })
-        .collect();
-    let mut problem = AllocationProblem {
-        gpus,
-        runtimes: inputs,
-    };
-    // Twitter-like demand skew: bin share ∝ 1/(i+1)², scaled so the Eq. 3
-    // lower bounds consume ~70% of the cluster.
-    let shares: Vec<f64> = (0..runtimes)
-        .map(|i| 1.0 / f64::from(i + 1).powi(2))
-        .collect();
-    let share_sum: f64 = shares.iter().sum();
-    let budget = f64::from(gpus) * 0.7;
-    // GPU cost of one demand unit in bin i is 1/M_i.
-    let gpu_per_demand: f64 = shares
-        .iter()
-        .zip(&problem.runtimes)
-        .map(|(s, rt)| s / share_sum / f64::from(rt.capacity.max(1)))
-        .sum();
-    let total_demand = budget / gpu_per_demand;
-    for (share, rt) in shares.iter().zip(problem.runtimes.iter_mut()) {
-        rt.demand = share / share_sum * total_demand;
-    }
-    problem
-}
 
 fn main() {
     let configs = [(50u32, 8u32, 0.156), (200, 12, 0.623), (1000, 16, 2.612)];
@@ -65,7 +18,7 @@ fn main() {
     let mut rows = Vec::new();
     let mut json_rows = Vec::new();
     for (gpus, runtimes, paper_secs) in configs {
-        let problem = instance(gpus, runtimes);
+        let problem = table2_instance(gpus, runtimes);
         // Exact DP (the production path).
         let t0 = Instant::now();
         let mut objective = 0.0;

@@ -24,7 +24,9 @@
 pub mod chart;
 pub mod storm;
 
+use arlo_runtime::profile::BatchLatencyMap;
 use arlo_sim::metrics::SimReport;
+use arlo_solver::problem::{AllocationProblem, RuntimeInput};
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
@@ -105,6 +107,50 @@ pub fn write_json(experiment: &str, value: &serde_json::Value) {
     )
     .expect("write result json");
     println!("[wrote {}]", path.display());
+}
+
+/// Table 2's allocation instance for `gpus` GPUs and `runtimes` runtimes:
+/// Twitter-skewed demand, staircase execution costs, SLO 150 ms, total
+/// demand scaled so the Eq. 3 lower bounds take ~70% of the cluster.
+pub fn table2_instance(gpus: u32, runtimes: u32) -> AllocationProblem {
+    let slo = 150.0;
+    let inputs: Vec<RuntimeInput> = (1..=runtimes)
+        .map(|i| {
+            let len = (512 * i / runtimes).max(1);
+            let exec = 0.6 + 0.00833 * f64::from(len);
+            let cap = (slo / exec) as u32;
+            RuntimeInput {
+                max_length: len,
+                capacity: cap,
+                demand: 0.0, // filled below
+                batch_latency: BatchLatencyMap::from_measurements(
+                    (1..=cap.max(1) as usize)
+                        .map(|b| exec * (b as f64 + 1.0) / 2.0)
+                        .collect(),
+                ),
+            }
+        })
+        .collect();
+    let mut problem = AllocationProblem {
+        gpus,
+        runtimes: inputs,
+    };
+    // Bin share ∝ 1/(i+1)²; the GPU cost of one demand unit in bin i is
+    // 1/M_i.
+    let shares: Vec<f64> = (0..runtimes)
+        .map(|i| 1.0 / f64::from(i + 1).powi(2))
+        .collect();
+    let share_sum: f64 = shares.iter().sum();
+    let gpu_per_demand: f64 = shares
+        .iter()
+        .zip(&problem.runtimes)
+        .map(|(s, rt)| s / share_sum / f64::from(rt.capacity.max(1)))
+        .sum();
+    let total_demand = f64::from(gpus) * 0.7 / gpu_per_demand;
+    for (share, rt) in shares.iter().zip(problem.runtimes.iter_mut()) {
+        rt.demand = share / share_sum * total_demand;
+    }
+    problem
 }
 
 /// Evaluate independent sweep cells (policy × trace, policy × cluster-size,

@@ -46,6 +46,7 @@ impl BatchLatencyMap {
     /// Fractional `b` (the ILP's `B_i = C_i / N_i` is rarely integral) is
     /// linearly interpolated; values beyond the tabulated range are linearly
     /// extrapolated from the last segment. `b = 0` returns 0.
+    #[inline]
     pub fn mean_latency_ms(&self, b: f64) -> f64 {
         assert!(
             b >= 0.0 && b.is_finite(),
@@ -59,7 +60,7 @@ impl BatchLatencyMap {
             // Between "idle" (0 ⇒ 0) and one outstanding request.
             return self.latencies_ms[0] * b;
         }
-        let idx = b.floor() as usize; // batch index, 1-based
+        let idx = b as usize; // batch index, 1-based (truncation is floor: b > 1)
         let frac = b - idx as f64;
         if idx >= n {
             // Beyond the profiled range the instance is past its
